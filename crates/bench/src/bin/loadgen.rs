@@ -25,8 +25,10 @@
 //! verb lines are replayed over `--workers` concurrent
 //! [`eqsql_net::Client`] connections (the server must have been started
 //! from the same file, since it pins the schema and Σ), so the reported
-//! latencies include the wire. The JSON gains a `"connect"` key;
-//! `scripts/bench_snapshot.sh` stores it under `net` in
+//! latencies include the wire. Each phase opens its connections and pings
+//! them before its clock starts; the slowest connect + ping of any phase
+//! is reported as `"connect_us"`. The JSON gains a `"connect"` key (the
+//! address); `scripts/bench_snapshot.sh` stores it under `net` in
 //! `BENCH_chase.json`. `--drain` asks the server to shut down gracefully
 //! after the measurement.
 
@@ -164,7 +166,13 @@ fn run_net(
         return ExitCode::FAILURE;
     }
     let n = lines.len();
-    let phase = |total: usize, mode: LoadMode| run_load_connect(addr, &lines, total, mode);
+    let connect = std::cell::Cell::new(std::time::Duration::ZERO);
+    let phase = |total: usize, mode: LoadMode| {
+        run_load_connect(addr, &lines, total, mode).map(|r| {
+            connect.set(connect.get().max(r.connect));
+            r.load
+        })
+    };
 
     let cold = match phase(n, LoadMode::Closed { workers }) {
         Ok(r) => r,
@@ -212,9 +220,11 @@ fn run_net(
 
     let total_errors = cold.errors + warm.errors + open.errors;
     println!(
-        "{{\"workload\":{file:?},\"connect\":{addr:?},\"requests\":{n},\"workers\":{workers},\
+        "{{\"workload\":{file:?},\"connect\":{addr:?},\"connect_us\":{},\"requests\":{n},\
+         \"workers\":{workers},\
          \"closed\":{{\"cold\":{},\"warm\":{}}},\
          \"open\":{{\"target_qps\":{qps:.1},\"warm\":{}}}}}",
+        connect.get().as_micros(),
         json_phase(&cold),
         json_phase(&warm),
         json_phase(&open)

@@ -16,6 +16,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::io;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Barrier, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Example 4.1's Σ deepened with inclusion chains off `r` and `u` — the
@@ -221,17 +222,20 @@ pub fn request_lines(text: &str) -> Vec<String> {
 /// [`run_load`] over a live socket: the same closed/open worker pool,
 /// but each worker drives one [`eqsql_net::Client`] connection against
 /// the server at `addr`, one in-flight request per connection (send,
-/// await the verdict, repeat). Latency therefore includes the wire —
-/// framing, kernel round trip, server-side queueing — measured from the
-/// same points as [`run_load`]: send (closed) or scheduled arrival
-/// (open). A verdict with `terminal != "ok"` counts as an error; a
-/// transport failure aborts the run with the underlying `io::Error`.
+/// await the verdict, repeat). Every worker connects and round-trips a
+/// `ping` before the clock starts, so connection setup is reported on its
+/// own ([`NetLoadReport::connect`]) instead of landing in the first
+/// samples. Latency therefore includes the wire — framing, kernel round
+/// trip, server-side queueing — measured from the same points as
+/// [`run_load`]: send (closed) or scheduled arrival (open). A verdict
+/// with `terminal != "ok"` counts as an error; a transport failure aborts
+/// the run with the underlying `io::Error`.
 pub fn run_load_connect(
     addr: &str,
     lines: &[String],
     total: usize,
     mode: LoadMode,
-) -> io::Result<LoadReport> {
+) -> io::Result<NetLoadReport> {
     assert!(!lines.is_empty(), "load harness needs at least one request line");
     let (workers, interval) = match mode {
         LoadMode::Closed { workers } => (workers.max(1), None),
@@ -243,13 +247,28 @@ pub fn run_load_connect(
     let hist = Histogram::new();
     let errors = AtomicUsize::new(0);
     let next = AtomicUsize::new(0);
-    let start = Instant::now();
-    let worker = || -> io::Result<()> {
-        let mut client = Client::connect(addr)?;
+    let ready = Barrier::new(workers);
+    // Set by the first worker past the barrier: every connection is open.
+    let clock: OnceLock<Instant> = OnceLock::new();
+    let worker = || -> io::Result<Duration> {
+        let setup = Instant::now();
+        let connected = Client::connect(addr).and_then(|mut client| {
+            if client.ping()? {
+                Ok(client)
+            } else {
+                Err(io::Error::new(io::ErrorKind::UnexpectedEof, "server closed before pong"))
+            }
+        });
+        let connect = setup.elapsed();
+        // A worker that failed to connect still arrives, so the others
+        // are not left waiting; the run then reports its error.
+        ready.wait();
+        let start = *clock.get_or_init(Instant::now);
+        let mut client = connected?;
         loop {
             let i = next.fetch_add(1, Ordering::Relaxed);
             if i >= total {
-                return Ok(());
+                return Ok(connect);
             }
             let issued_at = match interval {
                 None => Instant::now(),
@@ -279,19 +298,33 @@ pub fn run_load_connect(
             hist.record(issued_at.elapsed().as_micros() as u64);
         }
     };
-    let results: Vec<io::Result<()>> = std::thread::scope(|scope| {
+    let results: Vec<io::Result<Duration>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers).map(|_| scope.spawn(worker)).collect();
         handles.into_iter().map(|h| h.join().expect("load worker panicked")).collect()
     });
+    let mut connect = Duration::ZERO;
     for r in results {
-        r?;
+        connect = connect.max(r?);
     }
-    let wall = start.elapsed();
-    Ok(LoadReport {
-        issued: total,
-        errors: errors.into_inner(),
-        wall,
-        achieved_qps: total as f64 / wall.as_secs_f64().max(f64::EPSILON),
-        latency: hist.summary(),
+    let wall = clock.get().expect("every worker passed the barrier").elapsed();
+    Ok(NetLoadReport {
+        load: LoadReport {
+            issued: total,
+            errors: errors.into_inner(),
+            wall,
+            achieved_qps: total as f64 / wall.as_secs_f64().max(f64::EPSILON),
+            latency: hist.summary(),
+        },
+        connect,
     })
+}
+
+/// What a [`run_load_connect`] run measured.
+#[derive(Clone, Copy, Debug)]
+pub struct NetLoadReport {
+    /// The timed run, from the moment every connection was ready.
+    pub load: LoadReport,
+    /// The slowest worker's connection setup (connect plus one `ping`
+    /// round trip), before the clock started.
+    pub connect: Duration,
 }

@@ -21,11 +21,15 @@
 //! supplies Σ, the schema, the set-valued flags and default budgets, but
 //! its request lines are ignored — requests arrive over the socket in
 //! the same verb grammar, one per line (see the `eqsql_net` crate docs
-//! for the wire protocol). The ops and observability flags wire through
-//! unchanged: `--deadline-ms`/`--shed*` shape every connection's batch
-//! envelope, `--cache-dir` persists the shared cache, `--metrics`
-//! enables instrumentation, and `--trace` additionally puts per-phase
-//! timings on every verdict line. The bound address is printed as
+//! for the wire protocol). The ops and observability flags wire through:
+//! `--threads N` sizes the server's one decision pool, so at most N
+//! requests decide at once across all connections; `--deadline-ms`
+//! applies to every request; `--shed N` bounds the requests queued or
+//! deciding across all connections (past it, `reject-new` sheds the
+//! arriving request and `cancel-oldest` the oldest one still queued,
+//! never one already deciding); `--cache-dir` persists the shared cache,
+//! `--metrics` enables instrumentation, and `--trace` additionally puts
+//! per-phase timings on every verdict line. The bound address is printed as
 //! `listening on ADDR` (bind to port `0` for an ephemeral port); the
 //! process runs until a client sends `drain`, then prints the same
 //! `cache:`/`persist:`/`metric:` stat lines as file mode.
@@ -52,7 +56,8 @@
 //! quantiles, cumulative per-phase timings, core counters); `--trace FILE`
 //! additionally writes one structured `event=request …` key=value line per
 //! decided request to FILE (see `eqsql_service`'s "Observability" docs for
-//! the schema); `--progress MS` prints a liveness line to stderr every MS
+//! the schema; `req=` is the request's index in the file, or its wire id
+//! under `--listen`); `--progress MS` prints a liveness line to stderr every MS
 //! milliseconds while the batch loop runs.
 
 use eqsql_net::{Server, ServerConfig};

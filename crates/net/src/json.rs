@@ -1,23 +1,27 @@
 //! Dependency-free JSON for the `stats` control verb: a hand-rolled
-//! encoder for [`SolverStats`] (every field is an unsigned integer or an
-//! array of them, so encoding is string assembly, not a framework) and a
-//! strict validator the tests — and `netdrive --stats` — check the
-//! output with, so "well-formed stats JSON" is asserted by machine, not
-//! by eyeball.
+//! encoder for [`SolverStats`] plus the [`ServerReport`] (every field is
+//! an unsigned integer or an array of them, so encoding is string
+//! assembly, not a framework) and a strict validator the tests — and
+//! `netdrive --stats` — check the output with, so "well-formed stats
+//! JSON" is asserted by machine, not by eyeball.
 
+use crate::server::ServerReport;
 use eqsql_service::SolverStats;
 
-/// Encodes a [`SolverStats`] snapshot as one line of JSON. Keys mirror
-/// the struct fields (`requests`, `batches`, `shed`, `retries`,
-/// `panics`, `latency{count,mean,p50,p90,p99,max}`,
+/// Encodes a [`SolverStats`] snapshot and the server's accounting as one
+/// line of JSON. Keys mirror the struct fields (`requests`, `batches`,
+/// `shed`, `retries`, `panics`, `latency{count,mean,p50,p90,p99,max}`,
 /// `phase{queue_us,…,evidence_us}`, `cache{hits,misses,evictions,
-/// entries,shard_entries,persist{loaded,…,io_errors}}`); every value is
-/// a non-negative integer, so the document needs no string escaping.
-pub fn solver_stats_json(s: &SolverStats) -> String {
+/// entries,shard_entries,persist{loaded,…,io_errors}}`,
+/// `server{connections,rejected,served,peak_in_flight,peak_deciders}`);
+/// every value is a non-negative integer, so the document needs no
+/// string escaping.
+pub fn stats_json(s: &SolverStats, server: &ServerReport) -> String {
     let l = &s.latency;
     let p = &s.phase;
     let c = &s.cache;
     let pe = &c.persist;
+    let r = server;
     let shards = c.shard_entries.iter().map(|n| n.to_string()).collect::<Vec<_>>().join(",");
     format!(
         "{{\"requests\":{},\"batches\":{},\"shed\":{},\"retries\":{},\"panics\":{},\
@@ -26,13 +30,16 @@ pub fn solver_stats_json(s: &SolverStats) -> String {
          \"cache\":{{\"hits\":{},\"misses\":{},\"evictions\":{},\"entries\":{},\
          \"shard_entries\":[{}],\
          \"persist\":{{\"loaded\":{},\"recovered\":{},\"discarded\":{},\"snapshots\":{},\
-         \"appended\":{},\"disk_hits\":{},\"io_errors\":{}}}}}}}",
+         \"appended\":{},\"disk_hits\":{},\"io_errors\":{}}}}},\
+         \"server\":{{\"connections\":{},\"rejected\":{},\"served\":{},\
+         \"peak_in_flight\":{},\"peak_deciders\":{}}}}}",
         s.requests, s.batches, s.shed, s.retries, s.panics,
         l.count, l.mean, l.p50, l.p90, l.p99, l.max,
         p.queue_us, p.regularize_us, p.chase_us, p.cache_us, p.evidence_us,
         c.hits, c.misses, c.evictions, c.entries, shards,
         pe.loaded, pe.recovered, pe.discarded, pe.snapshots,
         pe.appended, pe.disk_hits, pe.io_errors,
+        r.connections, r.rejected, r.served, r.peak_in_flight, r.peak_deciders,
     )
 }
 
@@ -219,11 +226,13 @@ mod tests {
         s.requests = 13;
         s.cache.shard_entries = vec![0, 3, 1];
         s.latency.p99 = 4096;
-        let json = solver_stats_json(&s);
+        let r = ServerReport { peak_in_flight: 3, peak_deciders: 2, ..ServerReport::default() };
+        let json = stats_json(&s, &r);
         validate_json(&json).unwrap_or_else(|e| panic!("{e}\n{json}"));
         assert!(json.contains("\"requests\":13"));
         assert!(json.contains("\"shard_entries\":[0,3,1]"));
         assert!(json.contains("\"p99\":4096"));
+        assert!(json.contains("\"peak_in_flight\":3,\"peak_deciders\":2}}"));
         assert!(!json.contains('\n'));
     }
 

@@ -8,17 +8,21 @@
 //! binaries are argument parsing around them.
 //!
 //! * [`server`] — [`Server::start`] binds a listener and runs a bounded
-//!   accept loop (connection limit, per-connection read/write timeouts).
-//!   Each connection pipelines: a reader thread parses request lines and
-//!   answers control verbs while a dispatcher thread feeds decoded
-//!   requests through [`eqsql_service::Solver::decide_all_streaming`],
-//!   writing one response line per verdict *as it completes* — the
-//!   admission queue, deadlines, cancellation and retry of
-//!   [`eqsql_service::BatchOptions`] apply unchanged over the network.
-//!   [`Server::drain`] (or the wire verb `drain`) is the
-//!   SIGTERM-equivalent: stop accepting, cancel in-flight work through
-//!   the shared [`eqsql_service::Cancel`] token, flush responses, log a
-//!   final stats line.
+//!   accept loop (connection limit, per-connection write timeout). The
+//!   accept thread blocks in `accept` and each connection's reader thread
+//!   blocks in `read`: readers parse request lines, answer control verbs,
+//!   and feed decoded requests into one decision pool for the whole
+//!   server — [`eqsql_service::Solver::threads`] deciders, each running
+//!   [`eqsql_service::Solver::decide_request`] and writing one response
+//!   line per verdict to the sending connection *as it completes*. The
+//!   deadlines, cancellation and retry of
+//!   [`eqsql_service::BatchOptions`] apply per request over the network,
+//!   and its admission capacity bounds the requests queued or deciding
+//!   across all connections. [`Server::drain`] (or the wire verb `drain`)
+//!   is the SIGTERM-equivalent: stop accepting, wake every blocked
+//!   thread, cancel in-flight work through the shared
+//!   [`eqsql_service::Cancel`] token, flush responses, log a final stats
+//!   line.
 //! * [`client`] — [`Client`], a small blocking client (connect, send,
 //!   iterate responses) used by the tests, by `netdrive`, and by
 //!   `loadgen --connect` for open-loop latency measurement over a real
@@ -26,8 +30,8 @@
 //! * [`proto`] — the line grammar itself: rendering and parsing of
 //!   response lines, request-id tagging, evidence summaries.
 //! * [`json`] — the hand-rolled (dependency-free) JSON encoding of
-//!   [`eqsql_service::SolverStats`] behind the `stats` verb, plus a
-//!   strict validator the tests check it with.
+//!   [`eqsql_service::SolverStats`] and the [`ServerReport`] behind the
+//!   `stats` verb, plus a strict validator the tests check it with.
 //!
 //! ## Wire protocol
 //!
@@ -68,9 +72,14 @@
 //!
 //! ```text
 //! ping            → pong id=N
-//! stats           → stats id=N {"requests":…,"cache":{…},…}
+//! stats           → stats id=N {"requests":…,"cache":{…},…,"server":{…}}
 //! drain           → draining id=N       (then the whole server drains)
 //! ```
+//!
+//! The `stats` document's `server` object carries the connection counts,
+//! verdict lines served, and the decision pool's peaks:
+//! `peak_in_flight` (requests queued or deciding at once) and
+//! `peak_deciders` (requests deciding at once).
 //!
 //! ### Responses (server → client)
 //!
@@ -101,7 +110,8 @@
 //! `regularize_us=` `chase_us=` `cache_us=` `evidence_us=` appear after
 //! `wall_us`. Malformed request lines get the same shape —
 //! `outcome=parse-error terminal=error` with the parser's message in
-//! `msg=` — and the connection stays up; over-limit connections get one
+//! `msg=` — and the connection stays up; a request shed at admission gets
+//! `outcome=shed terminal=shed` at once; over-limit connections get one
 //! `busy max=N` line and are closed.
 //!
 //! ### Lifecycle
@@ -111,8 +121,9 @@
 //! that connection, streams the verdicts, and closes. On `drain` the
 //! server stops accepting, cancels in-flight decisions (they complete
 //! with `terminal=cancelled` verdict lines — still one response per
-//! request), flushes every connection, and exits its accept loop with a
-//! final `stats:`-prefixed log line on stderr.
+//! request), closes idle connections, flushes every connection, and
+//! exits its accept loop with a final `stats:`-prefixed log line on
+//! stderr.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -123,6 +134,6 @@ pub mod proto;
 pub mod server;
 
 pub use client::Client;
-pub use json::{solver_stats_json, validate_json};
+pub use json::{stats_json, validate_json};
 pub use proto::{Response, WireVerdict};
 pub use server::{Server, ServerConfig, ServerReport};

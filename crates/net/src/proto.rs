@@ -160,7 +160,7 @@ pub enum Response {
     Stats {
         /// The echoed request id.
         id: u64,
-        /// The JSON document (see [`crate::json::solver_stats_json`]).
+        /// The JSON document (see [`crate::json::stats_json`]).
         json: String,
     },
     /// Reply to `drain`; the server is now shutting down.

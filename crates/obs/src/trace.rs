@@ -45,11 +45,10 @@ use std::time::Instant;
 /// microsecond of a request is attributed to at most one phase.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Phase {
-    /// Admission-queue wait: batch intake until a worker started the
-    /// decision. Callers that queue requests *before* batch intake (the
-    /// `eqsql_net` server reads lines off a socket into a window) shift
-    /// the origin backwards so this phase — and the request's wall clock
-    /// — starts at first receipt, not at intake.
+    /// Admission-queue wait: the request's arrival until a worker started
+    /// the decision. Arrival is batch intake for a batch, and the socket
+    /// read for the `eqsql_net` server, so there this phase — and the
+    /// request's wall clock — starts at first receipt.
     Queue,
     /// Σ-regularization and context-key construction (only non-zero when
     /// a request overrides the chase budgets; the default-budget context

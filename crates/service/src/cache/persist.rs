@@ -77,7 +77,7 @@ use eqsql_relalg::Semantics;
 use std::collections::HashMap;
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -1096,7 +1096,9 @@ impl PersistTier {
             .collect();
         // Deterministic snapshot bytes: order by key, then provenance.
         entries.sort_by_key(|(key, loc)| (*key, loc.snap, loc.off));
-        let mut tmp = File::create(&tmp_path)?;
+        // Buffered: one syscall per buffer, not per record, while the
+        // tier's lock is held on the request path.
+        let mut tmp = BufWriter::new(File::create(&tmp_path)?);
         tmp.write_all(&file_header(&SNAPSHOT_MAGIC))?;
         let mut new_index: HashMap<u64, Vec<Loc>> = HashMap::new();
         let mut off = FILE_HEADER_LEN as u64;
@@ -1107,6 +1109,7 @@ impl PersistTier {
             new_index.entry(key).or_default().push(Loc { snap: true, off, len: loc.len });
             off += frame.len() as u64;
         }
+        let tmp = tmp.into_inner().map_err(|e| e.into_error())?;
         tmp.sync_all()?;
         drop(tmp);
         fs::rename(&tmp_path, &self.snapshot_path)?;

@@ -238,6 +238,7 @@ pub use request::{
     RequestParseError, MAX_LINE_BYTES,
 };
 pub use solver::{
-    AdmissionConfig, Answer, BatchOptions, BatchReport, Completion, DecisionStats, PhaseTotals,
-    Request, RequestOpts, RetryPolicy, ShedPolicy, Solver, SolverBuilder, SolverStats, Verdict,
+    AdmissionConfig, Answer, BatchOptions, BatchReport, Completion, Decided, DecisionStats,
+    PhaseTotals, Request, RequestOpts, RetryPolicy, ShedPolicy, Solver, SolverBuilder, SolverStats,
+    Verdict,
 };

@@ -182,14 +182,6 @@ pub struct BatchOptions {
     pub admission: Option<AdmissionConfig>,
     /// Retry-with-escalated-budget. `None` means one attempt per request.
     pub retry: Option<RetryPolicy>,
-    /// Per-request microseconds already spent queued *before* batch
-    /// intake — `offsets[i]` belongs to `requests[i]`; missing entries
-    /// count as zero. A network server sets this to the socket-read →
-    /// batch-submission wait, so each request's Queue-phase span (and its
-    /// wall clock, hence the latency histogram and event lines) starts at
-    /// the socket read rather than at batch assembly. Phase sums stay ≤
-    /// wall: the offset extends both ends of the accounting equally.
-    pub queue_offsets_us: Option<Vec<u64>>,
 }
 
 /// One decision of the paper's family. Construct with the query/dependency
@@ -547,12 +539,42 @@ pub struct Completion<'a> {
     pub verdict: &'a Result<Verdict, Error>,
     /// Per-decision accounting.
     pub stats: DecisionStats,
-    /// Wall µs from batch intake, extended by the request's
-    /// [`BatchOptions::queue_offsets_us`] head start.
+    /// Wall µs from batch intake.
     pub wall_us: u64,
     /// Per-phase µs in [`PHASES`] order, when the solver is observing
     /// (`None` on the timestamp-free fast path).
     pub phase_us: Option<[u64; 5]>,
+}
+
+/// What one request came to — returned by [`Solver::decide_request`] and
+/// [`Solver::shed_request`], the per-request steps that
+/// [`Solver::decide_all_streaming`] and a network server's decision pool
+/// share.
+#[derive(Debug)]
+pub struct Decided {
+    /// The verdict.
+    pub verdict: Result<Verdict, Error>,
+    /// Per-decision accounting.
+    pub stats: DecisionStats,
+    /// Wall µs from the request's arrival (the `arrived` instant the
+    /// caller passed), so the queue wait is inside it.
+    pub wall_us: u64,
+    /// Per-phase µs in [`PHASES`] order, when the solver is observing
+    /// (`None` on the timestamp-free fast path).
+    pub phase_us: Option<[u64; 5]>,
+}
+
+impl Decided {
+    /// The streaming-callback view of this outcome, for batch slot `index`.
+    fn completion(&self, index: usize) -> Completion<'_> {
+        Completion {
+            index,
+            verdict: &self.verdict,
+            stats: self.stats,
+            wall_us: self.wall_us,
+            phase_us: self.phase_us,
+        }
+    }
 }
 
 /// A batch of decisions: verdicts in request order plus aggregate
@@ -812,9 +834,9 @@ impl Default for RunEnv<'_> {
     }
 }
 
-/// One batch request's observation bundle: its span, its event id (the
-/// request's index in the batch) and the instant wall time counts from
-/// (batch intake, so the queue wait is inside the wall).
+/// One observed request's bundle: its span, its event id (the request's
+/// index in a batch, or a network client's wire id) and the instant wall
+/// time counts from (its arrival, so the queue wait is inside the wall).
 struct TraceObs<'a> {
     ctx: &'a TraceCtx,
     req: u64,
@@ -966,6 +988,12 @@ impl Solver {
         self.cache = cache;
     }
 
+    /// Worker threads deciding at once: per [`Solver::decide_all`] batch,
+    /// or in a network server's decision pool.
+    pub fn threads(&self) -> usize {
+        self.threads
+    }
+
     /// Adjusts the worker-thread count after construction.
     pub(crate) fn set_threads(&mut self, threads: usize) {
         self.threads = threads.max(1);
@@ -1075,10 +1103,11 @@ impl Solver {
     /// [`Solver::decide_all_with`] plus a per-request completion hook:
     /// `on_complete` fires from whichever worker thread finished the
     /// request (or synchronously at intake for shed requests), as soon as
-    /// its verdict exists — not at batch end. A network server uses this
-    /// to stream response lines back while the rest of the batch is still
-    /// deciding. The callback must be `Sync` (workers call it
-    /// concurrently) and should be quick: it runs on the worker's time.
+    /// its verdict exists — not at batch end, so a caller can report
+    /// verdicts while the rest of the batch is still deciding. The
+    /// callback must be `Sync` (workers call it concurrently) and should
+    /// be quick: it runs on the worker's time. Each request's trace event
+    /// carries its index in `requests` as `req=`.
     pub fn decide_all_streaming(
         &self,
         requests: &[Request],
@@ -1087,17 +1116,8 @@ impl Solver {
     ) -> BatchReport {
         let start = Instant::now();
         self.batches.fetch_add(1, Ordering::Relaxed);
-        let observing = self.observing();
         let n = requests.len();
-        let slots: Vec<OnceLock<(Result<Verdict, Error>, DecisionStats)>> =
-            (0..n).map(|_| OnceLock::new()).collect();
-        // Request i's clock starts `queue_offsets_us[i]` *before* batch
-        // intake (the socket-read instant, for a network server), so its
-        // Queue span and wall clock cover the pre-batch wait too.
-        let origin = |i: usize| {
-            let off = opts.queue_offsets_us.as_ref().and_then(|v| v.get(i)).copied().unwrap_or(0);
-            start.checked_sub(Duration::from_micros(off)).unwrap_or(start)
-        };
+        let slots: Vec<OnceLock<Decided>> = (0..n).map(|_| OnceLock::new()).collect();
         // Admission: a bounded queue filled in request order. RejectNew
         // sheds each arrival past capacity; CancelOldest sheds the oldest
         // *waiting* request to admit the newcomer. Intake is synchronous
@@ -1122,55 +1142,19 @@ impl Solver {
                         }
                     };
                     shed += 1;
-                    self.shed.fetch_add(1, Ordering::Relaxed);
-                    let rejection =
-                        (Err(Error::Shed { capacity: adm.capacity }), DecisionStats::default());
-                    let o = origin(victim);
-                    let mut phase_us = None;
-                    if observing {
-                        // A shed request still gets a complete event: its
-                        // whole life was queue wait.
-                        let ctx = TraceCtx::new();
-                        ctx.add_us(Phase::Queue, o.elapsed().as_micros() as u64);
-                        let obs = TraceObs { ctx: &ctx, req: victim as u64, origin: o };
-                        self.finish_traced(&requests[victim], &rejection, &obs);
-                        phase_us = Some(PHASES.map(|p| ctx.phase_us(p)));
-                    }
-                    on_complete(Completion {
-                        index: victim,
-                        verdict: &rejection.0,
-                        stats: rejection.1,
-                        wall_us: o.elapsed().as_micros() as u64,
-                        phase_us,
-                    });
-                    let _ = slots[victim].set(rejection);
+                    let d =
+                        self.shed_request(&requests[victim], adm.capacity, start, victim as u64);
+                    on_complete(d.completion(victim));
+                    let _ = slots[victim].set(d);
                 }
             }
         }
         let workers = self.threads.min(admitted.len()).max(1);
         let next = AtomicUsize::new(0);
         let run = |i: usize| {
-            let o = origin(i);
-            let (decided, phase_us) = if observing {
-                let ctx = TraceCtx::new();
-                // Queue wait: request arrival until this worker picked it
-                // up (intake plus any pre-batch head start).
-                ctx.add_us(Phase::Queue, o.elapsed().as_micros() as u64);
-                let obs = TraceObs { ctx: &ctx, req: i as u64, origin: o };
-                let decided = self.decide_resilient(&requests[i], opts, Some(&obs));
-                let phase_us = Some(PHASES.map(|p| ctx.phase_us(p)));
-                (decided, phase_us)
-            } else {
-                (self.decide_resilient(&requests[i], opts, None), None)
-            };
-            on_complete(Completion {
-                index: i,
-                verdict: &decided.0,
-                stats: decided.1,
-                wall_us: o.elapsed().as_micros() as u64,
-                phase_us,
-            });
-            decided
+            let d = self.decide_request(&requests[i], opts, start, i as u64);
+            on_complete(d.completion(i));
+            d
         };
         if workers == 1 {
             for &i in &admitted {
@@ -1194,9 +1178,13 @@ impl Solver {
             // worker, or an isolated panic verdict); an empty one would be
             // a scheduling defect, reported as such rather than panicking
             // the batch.
-            let (verdict, d) = slot.into_inner().unwrap_or_else(|| {
-                (Err(Error::internal("request slot was never decided")), DecisionStats::default())
-            });
+            let (verdict, d) =
+                slot.into_inner().map(|d| (d.verdict, d.stats)).unwrap_or_else(|| {
+                    (
+                        Err(Error::internal("request slot was never decided")),
+                        DecisionStats::default(),
+                    )
+                });
             stats.chase_steps += d.chase_steps;
             stats.cache_hits += d.cache_hits;
             stats.cache_misses += d.cache_misses;
@@ -1204,6 +1192,68 @@ impl Solver {
         }
         stats.wall = start.elapsed();
         BatchReport { verdicts, stats, threads: workers, shed }
+    }
+
+    /// Decides one admitted request that arrived at `arrived`, under the
+    /// ops envelope of `opts`: its cancellation token, default deadline
+    /// and retry policy, with panic isolation. `opts.admission` is not
+    /// consulted — admitting is the caller's step, and a request it turns
+    /// away goes to [`Solver::shed_request`] instead. While the solver is
+    /// observing, the request's queue phase runs from `arrived` to this
+    /// call, and its trace event names it `req=id`. This is the per-request
+    /// body of [`Solver::decide_all_streaming`], and the step a network
+    /// server's decision pool runs for each request read off a socket.
+    pub fn decide_request(
+        &self,
+        request: &Request,
+        opts: &BatchOptions,
+        arrived: Instant,
+        id: u64,
+    ) -> Decided {
+        let (decided, phase_us) = if self.observing() {
+            let ctx = TraceCtx::new();
+            ctx.add_us(Phase::Queue, arrived.elapsed().as_micros() as u64);
+            let obs = TraceObs { ctx: &ctx, req: id, origin: arrived };
+            let decided = self.decide_resilient(request, opts, Some(&obs));
+            (decided, Some(PHASES.map(|p| ctx.phase_us(p))))
+        } else {
+            (self.decide_resilient(request, opts, None), None)
+        };
+        Decided {
+            verdict: decided.0,
+            stats: decided.1,
+            wall_us: arrived.elapsed().as_micros() as u64,
+            phase_us,
+        }
+    }
+
+    /// Answers a request that admission turned away, without deciding it:
+    /// an [`Error::Shed`] verdict naming `capacity`, counted in
+    /// [`SolverStats::shed`]. While observing, it still emits a complete
+    /// trace event (`req=id`) whose whole life was queue wait.
+    pub fn shed_request(
+        &self,
+        request: &Request,
+        capacity: usize,
+        arrived: Instant,
+        id: u64,
+    ) -> Decided {
+        self.shed.fetch_add(1, Ordering::Relaxed);
+        let rejection = (Err(Error::Shed { capacity }), DecisionStats::default());
+        let mut phase_us = None;
+        if self.observing() {
+            let ctx = TraceCtx::new();
+            ctx.add_us(Phase::Queue, arrived.elapsed().as_micros() as u64);
+            let obs = TraceObs { ctx: &ctx, req: id, origin: arrived };
+            self.finish_traced(request, &rejection, &obs);
+            phase_us = Some(PHASES.map(|p| ctx.phase_us(p)));
+        }
+        Decided {
+            verdict: rejection.0,
+            stats: rejection.1,
+            wall_us: arrived.elapsed().as_micros() as u64,
+            phase_us,
+        }
     }
 
     /// One worker-loop iteration: panic isolation around the decision,

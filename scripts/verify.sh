@@ -115,7 +115,7 @@ fi
 # And the default run above already proved the same file decides cleanly
 # (13 requests, 0 errors) when unguarded — expired runs were not cached.
 
-echo "== net smoke (eqsql-serve --listen, two concurrent clients, graceful drain)"
+echo "== net smoke (eqsql-serve --listen: four clients on two deciders, then two clients and a graceful drain)"
 NET_LOG="$(mktemp)"
 trap 'rm -rf "$CACHE_DIR"; rm -f "$NET_LOG"' EXIT
 cargo run -q -p eqsql-net --bin eqsql-serve -- \
@@ -131,6 +131,13 @@ for _ in $(seq 1 100); do
 done
 [ -n "$NET_ADDR" ] \
     || { cat "$NET_LOG" >&2; echo "net smoke: server never reported its address" >&2; exit 1; }
+# More connections than deciders: the server's one decision pool serves
+# all four clients with --threads 2.
+POOL_OUT="$(cargo run -q -p eqsql-net --bin netdrive -- \
+    --clients 4 "$NET_ADDR" crates/service/fixtures/smoke.req)"
+echo "$POOL_OUT" | sed 's/^/  /'
+echo "$POOL_OUT" | grep -q "split: 7 positive, 6 other, 0 errors (13 verdicts over 4 client(s))" \
+    || { echo "net smoke: pooled socket verdicts diverge from file mode" >&2; exit 1; }
 NET_OUT="$(cargo run -q -p eqsql-net --bin netdrive -- \
     --clients 2 --stats --drain "$NET_ADDR" crates/service/fixtures/smoke.req)"
 echo "$NET_OUT" | sed 's/^/  /'
@@ -142,7 +149,7 @@ echo "$NET_OUT" | grep -q "^stats: ok" \
 # The drain must let the server exit cleanly with its final accounting.
 wait "$NET_PID" \
     || { cat "$NET_LOG" >&2; echo "net smoke: drained server exited nonzero" >&2; exit 1; }
-grep -Eq '^net: 3 connection\(s\) accepted, 0 rejected, 13 request\(s\) served' "$NET_LOG" \
+grep -Eq '^net: 7 connection\(s\) accepted, 0 rejected, 26 request\(s\) served' "$NET_LOG" \
     || { cat "$NET_LOG" >&2; echo "net smoke: final net accounting line wrong" >&2; exit 1; }
 
 echo "verify: OK"

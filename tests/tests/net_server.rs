@@ -1,18 +1,22 @@
 //! End-to-end tests of the `eqsql_net` TCP server: the socket path must
 //! be *verdict-identical* to file mode (same solver, same requests, same
 //! outcome labels), concurrent clients must interleave without
-//! cross-talk or shedding, a mid-batch `drain` must cancel in-flight
-//! work into clean `terminal=cancelled` verdicts and a clean close, and
-//! hostile input (malformed lines, over-limit connections) must degrade
-//! per-line / per-connection, never per-server.
+//! cross-talk or shedding, one decision pool must bound the work of all
+//! connections together, a `drain` must wake every blocked thread and
+//! cancel in-flight work into clean `terminal=cancelled` verdicts and a
+//! clean close, and hostile input (malformed lines, over-limit
+//! connections) must degrade per-line / per-connection, never per-server.
 
 use eqsql_bench::workloads::request_lines;
-use eqsql_net::{Client, Response, Server, ServerConfig};
-use eqsql_service::{parse_request_file, Solver};
+use eqsql_net::{Client, Response, Server, ServerConfig, ServerReport};
+use eqsql_service::{
+    parse_request_file, AdmissionConfig, BatchOptions, ShedPolicy, Solver, SolverBuilder,
+    TraceSink, VecSink,
+};
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// The committed smoke fixture: Example 4.1 over the full verb family,
 /// 13 requests splitting 7 positive / 6 other / 0 errors.
@@ -21,13 +25,56 @@ fn smoke_text() -> String {
     std::fs::read_to_string(path).expect("smoke fixture readable")
 }
 
-fn start_server(text: &str, config: ServerConfig) -> (Server, Arc<Solver>) {
+/// A solver over a request file's Σ, schema and budgets.
+fn solver_for(text: &str) -> SolverBuilder {
     let parsed = parse_request_file(text).expect("fixture parses");
-    let solver =
-        Arc::new(Solver::builder(parsed.sigma, parsed.schema).chase_config(parsed.config).build());
+    Solver::builder(parsed.sigma, parsed.schema).chase_config(parsed.config)
+}
+
+fn serve(solver: Solver, config: ServerConfig) -> (Server, Arc<Solver>) {
+    let solver = Arc::new(solver);
     let server = Server::start(Arc::clone(&solver), "127.0.0.1:0", config)
         .expect("bind an ephemeral loopback port");
     (server, solver)
+}
+
+fn start_server(text: &str, config: ServerConfig) -> (Server, Arc<Solver>) {
+    serve(solver_for(text).build(), config)
+}
+
+/// File mode's per-line `(outcome label, positive)` over a request file:
+/// one solver, sequential decides.
+fn file_mode_labels(text: &str) -> Vec<(String, bool)> {
+    let parsed = parse_request_file(text).unwrap();
+    let file_solver = solver_for(text).build();
+    parsed
+        .requests
+        .iter()
+        .map(|req| match file_solver.decide(req) {
+            Ok(v) => (v.answer.label().to_string(), v.is_positive()),
+            Err(e) => (e.labels().0.to_string(), false),
+        })
+        .collect()
+}
+
+/// The unsigned integer under `"key":` in a `stats` JSON document (the
+/// keys read here occur once).
+fn json_u64(json: &str, key: &str) -> u64 {
+    let pat = format!("\"{key}\":");
+    let at = json.find(&pat).unwrap_or_else(|| panic!("no {key} in {json}")) + pat.len();
+    let digits: String = json[at..].chars().take_while(char::is_ascii_digit).collect();
+    digits.parse().unwrap_or_else(|_| panic!("{key} is not a number in {json}"))
+}
+
+/// Joins `server` on a helper thread, failing the test if that takes more
+/// than 10 s — a drain that misses a blocked thread fails here instead of
+/// hanging the suite.
+fn join_within_10s(server: Server) -> ServerReport {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(server.join());
+    });
+    rx.recv_timeout(Duration::from_secs(10)).expect("join returned within 10 s of the drain")
 }
 
 /// N concurrent clients splitting the smoke fixture round-robin must
@@ -40,20 +87,8 @@ fn concurrent_clients_match_file_mode_verdict_for_verdict() {
     let lines = request_lines(&text);
     assert_eq!(lines.len(), 13, "smoke fixture drifted");
 
-    // File mode: one solver, sequential decides, per-line outcome labels.
-    let parsed = parse_request_file(&text).unwrap();
-    let file_solver = Solver::builder(parsed.sigma.clone(), parsed.schema.clone())
-        .chase_config(parsed.config)
-        .build();
-    assert_eq!(parsed.requests.len(), lines.len(), "one request per verb line");
-    let expected: Vec<(String, bool)> = parsed
-        .requests
-        .iter()
-        .map(|req| match file_solver.decide(req) {
-            Ok(v) => (v.answer.label().to_string(), v.is_positive()),
-            Err(e) => (e.labels().0.to_string(), false),
-        })
-        .collect();
+    let expected = file_mode_labels(&text);
+    assert_eq!(expected.len(), lines.len(), "one request per verb line");
     assert_eq!(expected.iter().filter(|(_, pos)| *pos).count(), 7, "{expected:?}");
     assert!(expected.iter().all(|(label, _)| !label.ends_with("error")), "{expected:?}");
 
@@ -128,7 +163,7 @@ fn drain_mid_batch_cancels_in_flight_into_verdicts() {
     client
         .send("equivalent: set max_steps=100000000 | q(X) :- e(X,Y) | q(X) :- e(X,Y), e(Y,Z)")
         .expect("send");
-    // Let the dispatcher pick the request up so the cancel lands mid-chase.
+    // Let a decider pick the request up so the cancel lands mid-chase.
     std::thread::sleep(Duration::from_millis(300));
     client.drain().expect("draining acknowledged");
     let v = client
@@ -197,4 +232,180 @@ fn over_limit_connections_are_rejected_with_busy() {
     server.drain();
     let report = server.join();
     assert_eq!((report.connections, report.rejected), (1, 1), "{report:?}");
+}
+
+/// Four pipelining connections against a two-thread solver and a
+/// server-wide admission capacity of 3: the pool never holds more than 3
+/// requests queued or deciding, never runs more than 2 at once, answers
+/// every request exactly once (decided or shed), and every decided
+/// verdict still matches file mode.
+#[test]
+fn one_pool_bounds_the_work_of_all_connections() {
+    const CLIENTS: usize = 4;
+    const PASSES: usize = 5;
+    let text = smoke_text();
+    let lines = request_lines(&text);
+    let expected = file_mode_labels(&text);
+    let sent = (CLIENTS * PASSES * lines.len()) as u64;
+    for policy in [ShedPolicy::RejectNew, ShedPolicy::CancelOldest] {
+        let batch = BatchOptions {
+            admission: Some(AdmissionConfig { capacity: 3, policy }),
+            ..BatchOptions::default()
+        };
+        let (server, _solver) = serve(
+            solver_for(&text).threads(2).build(),
+            ServerConfig { batch, ..Default::default() },
+        );
+        let addr = server.local_addr();
+        let shed: usize = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..CLIENTS)
+                .map(|_| {
+                    let (lines, expected) = (&lines, &expected);
+                    scope.spawn(move || {
+                        let mut client = Client::connect(addr).expect("connect");
+                        let mut line_of_id = HashMap::new();
+                        for _ in 0..PASSES {
+                            for (k, line) in lines.iter().enumerate() {
+                                line_of_id.insert(client.send(line).expect("send"), k);
+                            }
+                        }
+                        client.finish_sending().expect("half-close");
+                        let mut shed = 0;
+                        while let Some(v) = client.recv_verdict().expect("recv") {
+                            let k = line_of_id.remove(&v.id).expect("one verdict per sent id");
+                            if v.terminal == "shed" {
+                                assert_eq!(v.outcome, "shed", "{v:?}");
+                                shed += 1;
+                            } else {
+                                assert_eq!(
+                                    (v.outcome.as_str(), v.positive),
+                                    (expected[k].0.as_str(), expected[k].1),
+                                    "line {k} diverged from file mode under {policy:?}"
+                                );
+                            }
+                        }
+                        assert!(line_of_id.is_empty(), "unanswered ids: {line_of_id:?}");
+                        shed
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("client thread")).sum()
+        });
+        let json = Client::connect(addr).expect("connect").stats().expect("stats").expect("json");
+        assert!(json_u64(&json, "peak_in_flight") <= 3, "{policy:?}: {json}");
+        assert!(json_u64(&json, "peak_deciders") <= 2, "{policy:?}: {json}");
+        assert_eq!(json_u64(&json, "shed"), shed as u64, "{policy:?}: {json}");
+        assert_eq!(json_u64(&json, "requests") + json_u64(&json, "shed"), sent, "{json}");
+        server.drain();
+        let report = join_within_10s(server);
+        assert_eq!(report.served, sent, "{report:?}");
+    }
+}
+
+/// Past the server-wide capacity, `reject-new` sheds the arriving request
+/// and `cancel-oldest` the oldest queued one — never the request already
+/// deciding. Capacity 2 on one decider: a diverging request holds the
+/// decider, a second request waits in the queue, and a third overflows.
+#[test]
+fn shedding_spares_the_deciding_request() {
+    let text = "sigma: e(X,Y) -> e(Y,Z).\n\
+                pair: set | q(X) :- e(X,Y) | q(X) :- e(X,Y), e(Y,Z)\n";
+    let slow = "equivalent: set max_steps=100000000 | q(X) :- e(X,Y) | q(X) :- e(X,Y), e(Y,Z)";
+    let quick = "contains: | q(X) :- e(X,Y) | q(X) :- e(X,Y)";
+    for policy in [ShedPolicy::RejectNew, ShedPolicy::CancelOldest] {
+        let batch = BatchOptions {
+            admission: Some(AdmissionConfig { capacity: 2, policy }),
+            ..BatchOptions::default()
+        };
+        let (server, _solver) = start_server(text, ServerConfig { batch, ..Default::default() });
+        let mut client = Client::connect(server.local_addr()).expect("connect");
+        client.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
+        let slow_id = client.send(slow).expect("send");
+        // Wait (boundedly) until the decider has taken the slow request.
+        let until = Instant::now() + Duration::from_secs(10);
+        while json_u64(&client.stats().expect("stats").expect("json"), "peak_deciders") == 0 {
+            assert!(Instant::now() < until, "the slow request never started deciding");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let queued = client.send(quick).expect("send");
+        let arriving = client.send(quick).expect("send");
+        let v = client.recv_verdict().expect("recv").expect("the shed verdict comes at once");
+        let victim = match policy {
+            ShedPolicy::RejectNew => arriving,
+            ShedPolicy::CancelOldest => queued,
+        };
+        assert_eq!((v.id, v.terminal.as_str()), (victim, "shed"), "{policy:?}: {v:?}");
+        client.drain().expect("draining acknowledged");
+        let mut rest = Vec::new();
+        while let Some(v) = client.recv_verdict().expect("recv") {
+            assert_eq!(v.terminal, "cancelled", "{v:?}");
+            rest.push(v.id);
+        }
+        rest.sort_unstable();
+        let survivor = if victim == queued { arriving } else { queued };
+        assert_eq!(rest, vec![slow_id, survivor], "{policy:?}");
+        let report = join_within_10s(server);
+        assert_eq!(report.served, 3, "{report:?}");
+    }
+}
+
+/// Socket-path trace events name each request by the client's wire id.
+#[test]
+fn socket_trace_events_carry_wire_ids() {
+    let text = smoke_text();
+    let sink = Arc::new(VecSink::new());
+    let solver = solver_for(&text).trace_sink(Arc::clone(&sink) as Arc<dyn TraceSink>).build();
+    let (server, _solver) = serve(solver, ServerConfig::default());
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    for id in [7, 9, 11] {
+        client.send_raw(&format!("id={id} minimal: set | q4(X) :- p(X,Y)")).expect("send");
+    }
+    for _ in 0..3 {
+        client.recv_verdict().expect("recv").expect("verdict");
+    }
+    drop(client);
+    server.drain();
+    join_within_10s(server);
+    let mut reqs: Vec<u64> = sink
+        .lines()
+        .iter()
+        .map(|line| {
+            let tok = line.split(' ').find_map(|t| t.strip_prefix("req=")).expect("req= key");
+            tok.parse().expect("numeric req")
+        })
+        .collect();
+    reqs.sort_unstable();
+    assert_eq!(reqs, [7, 9, 11]);
+}
+
+/// A server that never accepted a connection still drains: the drain
+/// wakes the accept thread out of its blocking `accept`.
+#[test]
+fn drain_wakes_an_idle_accept_loop() {
+    let (server, _solver) = start_server(&smoke_text(), ServerConfig::default());
+    server.drain();
+    let report = join_within_10s(server);
+    assert_eq!((report.connections, report.served), (0, 0), "{report:?}");
+}
+
+/// Idle connections — pinged, no requests — end at a drain: both readers
+/// are woken out of their blocking `read`, both clients see end of
+/// input, and `join` returns.
+#[test]
+fn drain_closes_idle_connections() {
+    let (server, _solver) = start_server(&smoke_text(), ServerConfig::default());
+    let mut clients: Vec<Client> = (0..2)
+        .map(|_| {
+            let mut c = Client::connect(server.local_addr()).expect("connect");
+            c.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
+            assert!(c.ping().expect("ping"));
+            c
+        })
+        .collect();
+    server.drain();
+    let report = join_within_10s(server);
+    assert_eq!(report.connections, 2, "{report:?}");
+    for c in &mut clients {
+        assert!(c.recv().expect("end of input, not a timeout").is_none());
+    }
 }
