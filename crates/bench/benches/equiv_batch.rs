@@ -10,6 +10,10 @@
 //!   is chased once, repeats within the batch already hit.
 //! * `warm/<threads>` — cache pre-populated by an untimed run: the batch
 //!   is served entirely from canonical-key lookups + replay.
+//! * `not_equivalent_warm/1` — one `Solver` thread deciding the
+//!   `NotEquivalent` pairs of the served `equiv_batch.req` fixture after an
+//!   untimed warming pass. Every chase is a cache hit, so the row times
+//!   the evidence layer: the separating-database search and its replay.
 //!
 //! `scripts/bench_snapshot.sh` records both medians and their ratio in
 //! `BENCH_chase.json` (`batch_speedups`).
@@ -17,7 +21,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use eqsql_bench::workloads::{repeated_subquery_pairs, workload_schema, workload_sigma};
 use eqsql_chase::ChaseConfig;
-use eqsql_service::BatchSession;
+use eqsql_service::{parse_request_file, Answer, BatchSession, Solver};
 use std::hint::black_box;
 
 fn bench_equiv_batch(c: &mut Criterion) {
@@ -41,6 +45,18 @@ fn bench_equiv_batch(c: &mut Criterion) {
             b.iter(|| black_box(warm.run(&pairs)))
         });
     }
+    let file = parse_request_file(include_str!("../../service/fixtures/equiv_batch.req"))
+        .expect("equiv_batch.req parses");
+    let solver = Solver::builder(file.sigma, file.schema).chase_config(file.config).build();
+    // The filter is the warming pass: it decides every request once.
+    let not_equivalent: Vec<_> = file
+        .requests
+        .into_iter()
+        .filter(|r| matches!(solver.decide(r), Ok(v) if matches!(v.answer, Answer::NotEquivalent { .. })))
+        .collect();
+    group.bench_function(BenchmarkId::new("not_equivalent_warm", 1), |b| {
+        b.iter(|| not_equivalent.iter().filter(|r| black_box(solver.decide(r)).is_ok()).count())
+    });
     group.finish();
 }
 

@@ -25,21 +25,22 @@
 //! ## Execution architecture
 //!
 //! All query-level chases run on the **incremental indexed engine**
-//! ([`engine`]): a persistent [`index::BodyIndex`] (predicate/arity
-//! buckets, variable-occurrence lists, atom-value fingerprints, per-slot
-//! generation stamps) mutated in place, per-dependency compiled
-//! [`eqsql_cq::matcher::MatchPlan`]s searched first-match over a
-//! trail-based frame with the conclusion-extension check threaded in as a
-//! pruning predicate, and delta-driven (semi-naive) dependency
-//! scheduling. [`mod@set_chase`], [`sound_chase`] and [`key_based_chase`] are
-//! thin entry points over it; [`EngineOpts`] opts into delta-*seeded*
-//! premise search (budget-exhaustion asymptotics) and speculative
-//! parallel dependency probes. The original naive restart-scan driver
-//! survives as [`mod@reference`] — the differential-testing oracle
-//! (`tests/tests/engine_differential.rs`) that pins the engine to the
-//! paper's step semantics, with the underlying naive homomorphism search
-//! preserved as `eqsql_cq::matcher::reference`
-//! (`tests/tests/matcher_differential.rs`).
+//! ([`engine`]): a persistent [`index::BodyIndex`] (the body as `u32`
+//! term ids in per-predicate columnar tables of an
+//! [`eqsql_cq::TermArena`], with variable-occurrence lists, atom
+//! fingerprints and per-slot generation stamps) mutated in place,
+//! per-dependency compiled [`eqsql_cq::ArenaPlan`]s searched first-match
+//! over a reusable [`eqsql_cq::ArenaFrame`] with the
+//! conclusion-extension check seeded in, and delta-driven (semi-naive)
+//! dependency scheduling. [`mod@set_chase`], [`sound_chase`] and
+//! [`key_based_chase`] are thin entry points over it; [`EngineOpts`]
+//! opts into delta-*seeded* premise search (budget-exhaustion
+//! asymptotics) and speculative parallel dependency probes. The original
+//! naive restart-scan driver survives as [`mod@reference`] — the
+//! differential-testing oracle (`tests/tests/engine_differential.rs`)
+//! that pins the engine to the paper's step semantics, with the
+//! underlying naive homomorphism search preserved as
+//! `eqsql_cq::matcher::reference` (`tests/tests/matcher_differential.rs`).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -19,7 +19,7 @@ use crate::counterexample::{amplify, lemma_d1_database};
 use eqsql_cq::matcher::{bucket_atoms, MatchPlan, Seed, Target};
 use eqsql_cq::{CqQuery, Predicate, Subst};
 use eqsql_relalg::eval::eval_bag;
-use eqsql_relalg::Schema;
+use eqsql_relalg::{Database, Schema};
 use std::collections::HashSet;
 
 /// Three-valued verdict for bag containment.
@@ -132,25 +132,29 @@ pub fn is_multiset_onto_mapping(q1: &CqQuery, q2: &CqQuery, h: &Subst) -> bool {
 }
 
 /// A bounded falsifier: evaluates both queries under bag semantics on
-/// canonical databases of `q1` amplified per relation, looking for a tuple
-/// with `Q1`-multiplicity exceeding its `Q2`-multiplicity.
+/// the canonical database of `q1`, then on copies amplified per relation,
+/// looking for a tuple with `Q1`-multiplicity exceeding its
+/// `Q2`-multiplicity. Each amplification is built only once every earlier
+/// candidate has failed.
 pub fn find_non_containment_witness(
     q1: &CqQuery,
     q2: &CqQuery,
     max_amplification: u64,
-) -> Option<eqsql_relalg::Database> {
-    let base = lemma_d1_database(q1, Predicate::new("__none__"), 1);
-    let mut candidates = vec![base.clone()];
-    for (pred, _) in q1.predicates() {
-        for m in [2u64, 3, max_amplification.max(2)] {
-            candidates.push(amplify(&base, pred, m));
-        }
-    }
-    candidates.into_iter().find(|db| {
+) -> Option<Database> {
+    let gap = |db: &Database| {
         let a1 = eval_bag(q1, db);
         let a2 = eval_bag(q2, db);
         a1.sorted().iter().any(|(t, m)| a2.multiplicity(t) < *m)
-    })
+    };
+    let base = lemma_d1_database(q1, Predicate::new("__none__"), 1);
+    if gap(&base) {
+        return Some(base);
+    }
+    q1.predicates()
+        .into_iter()
+        .flat_map(|(pred, _)| [2u64, 3, max_amplification.max(2)].map(|m| (pred, m)))
+        .map(|(pred, m)| amplify(&base, pred, m))
+        .find(|db| gap(db))
 }
 
 /// The combined three-valued test.

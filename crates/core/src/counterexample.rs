@@ -7,15 +7,22 @@
 //!
 //! Candidate constructions, in order:
 //!
-//! 1. canonical databases of the set-chased queries (the generic witness —
-//!    e.g. Example 4.7 uses the canonical database of the chased test
-//!    query, which is the chased unsound-step result);
+//! 1. canonical databases of the set-chased queries, `Q1`'s then `Q2`'s
+//!    (the generic witness — e.g. Example 4.7 uses the canonical database
+//!    of the chased test query, which is the chased unsound-step result);
 //! 2. **m-copy amplification** (Lemma D.1): multiply the tuples of one
 //!    bag-valued relation `m` times; with `m` past the lemma's bound the
 //!    subgoal-count difference dominates every other effect (only
 //!    meaningful — and only attempted — under bag semantics);
-//! 3. canonical databases of the *unchased* queries repaired by the
+//! 3. **doubled** canonical databases of the set-chased queries (each
+//!    frozen twice, sharing the head), repaired by the instance chase;
+//! 4. canonical databases of the *unchased* queries, repaired by the
 //!    instance chase.
+//!
+//! Families 3 and 4 try each repair set-flattened, then raw. Candidates
+//! are built lazily: each is tested as soon as it exists, and the first
+//! that separates wins, so a search that succeeds early never pays for
+//! the later chases.
 //!
 //! The search is sound (every returned database is verified to satisfy Σ
 //! and to separate the queries) but not complete; `None` means "no witness
@@ -27,7 +34,7 @@ use eqsql_cq::{CqQuery, Predicate};
 use eqsql_deps::satisfaction::db_satisfies_all;
 use eqsql_deps::DependencySet;
 use eqsql_relalg::eval::{eval, Semantics};
-use eqsql_relalg::{canonical_database, Database, Relation, Schema};
+use eqsql_relalg::{canonical_database, Database, Schema};
 
 /// Lemma D.1's amplification: the canonical database of (the canonical
 /// representation of) `q`, with every tuple of `rel` given multiplicity
@@ -88,12 +95,14 @@ pub fn separating_database(
     separating_database_via(&crate::sigma_equiv::DirectChaser, sem, q1, q2, sigma, schema, config)
 }
 
-/// [`separating_database`] with the *query* chases (candidate family 1)
-/// routed through `chaser`, so a memoizing chaser — the `eqsql_service`
-/// cache, which has almost always just chased both queries to reach the
-/// negative verdict this search is decorating — serves them for free. The
-/// instance-repair chases of families 3–4 are database-level and not
-/// cacheable through this interface.
+/// [`separating_database`] with the *query* chases (families 1–3) routed
+/// through `chaser`, so a memoizing chaser — the `eqsql_service` cache —
+/// can serve them. Under set semantics the decision that preceded this
+/// search has just chased both queries and the probes hit; under bag and
+/// bag-set semantics the decision chased under a different context, so
+/// these Set chases can miss. `q2` is chased only if `q1`'s first-family
+/// candidate fails. The instance-repair chases of families 3–4 are
+/// database-level and not cacheable through this interface.
 pub fn separating_database_via<C: crate::sigma_equiv::SoundChaser + ?Sized>(
     chaser: &C,
     sem: Semantics,
@@ -105,11 +114,15 @@ pub fn separating_database_via<C: crate::sigma_equiv::SoundChaser + ?Sized>(
 ) -> Option<Database> {
     // The search runs after the negative verdict and can be the longest
     // phase of a decision; abort it (returning "no witness") as soon as
-    // the chaser's guard signals. The query chases of family 1 poll the
-    // guard inside the engine; the instance repairs of families 3–4 and
-    // the final candidate-evaluation loop poll it here.
+    // the chaser's guard signals. The query chases poll the guard inside
+    // the engine, the instance repairs inside the instance chase, and the
+    // candidate test here.
     let guard = chaser.run_guard();
-    let mut candidates: Vec<Database> = Vec::new();
+    let separates = |db: &Database| {
+        guard.check(0).is_ok()
+            && db_admissible(db, sem, sigma, schema)
+            && answers_differ(sem, q1, q2, db)
+    };
 
     // (1) Canonical databases of the chased queries. The set-semantics
     // chase is the right one regardless of `sem`: it produces the most
@@ -119,8 +132,10 @@ pub fn separating_database_via<C: crate::sigma_equiv::SoundChaser + ?Sized>(
     for q in [q1, q2] {
         if let Ok(c) = chaser.sound_chase(Semantics::Set, q, sigma, schema, config) {
             if !c.failed {
-                let frozen = canonical_database(&c.query, 0);
-                candidates.push(frozen.db);
+                let db = canonical_database(&c.query, 0).db;
+                if separates(&db) {
+                    return Some(db);
+                }
                 chased.push(c.query);
             }
         }
@@ -135,49 +150,38 @@ pub fn separating_database_via<C: crate::sigma_equiv::SoundChaser + ?Sized>(
                 }
                 let m_star = lemma_d1_m_star(q1, q2, rel.0).min(64);
                 for m in [2u64, 3, m_star.max(2)] {
-                    candidates.push(lemma_d1_database(base, rel.0, m));
+                    let db = lemma_d1_database(base, rel.0, m);
+                    if separates(&db) {
+                        return Some(db);
+                    }
                 }
             }
         }
     }
 
     // (3) Doubled canonical databases: freeze the chased query twice,
-    //     sharing the head variables, and repair with the instance chase.
-    //     This realizes "two satisfying assignments per head tuple" — the
-    //     shape of the paper's bag-set counterexamples (Example 4.1's D
-    //     with two u-tuples; the canonical database of the chased test
-    //     query in Example 4.7) — unless Σ forces the copies to collapse,
-    //     in which case the queries really are equivalent along this axis.
-    for base in &chased {
-        let doubled = doubled_database(base);
-        if let Ok(r) = chase_database_guarded(&doubled, sigma, config, &guard) {
-            if !r.failed {
-                // Null merges during the repair can leave multiplicity-2
-                // tuples; the set-valued flattening is the candidate the
-                // set-based semantics need.
-                candidates.push(r.db.to_set());
-                candidates.push(r.db);
-            }
-        }
-    }
-
-    // (4) Canonical databases of the raw queries, repaired by the
-    //     instance chase.
-    for q in [q1, q2] {
-        let frozen = canonical_database(&eqsql_cq::canonical_representation(q), 1000);
-        if let Ok(r) = chase_database_guarded(&frozen.db, sigma, config, &guard) {
-            if !r.failed {
-                candidates.push(r.db.to_set());
-                candidates.push(r.db);
-            }
-        }
-    }
-
-    candidates.into_iter().find(|db| {
-        guard.check(0).is_ok()
-            && db_admissible(db, sem, sigma, schema)
-            && answers_differ(sem, q1, q2, db)
-    })
+    //     sharing the head variables. This realizes "two satisfying
+    //     assignments per head tuple" — the shape of the paper's bag-set
+    //     counterexamples (Example 4.1's D with two u-tuples; the
+    //     canonical database of the chased test query in Example 4.7) —
+    //     unless Σ forces the copies to collapse, in which case the
+    //     queries really are equivalent along this axis.
+    // (4) Canonical databases of the raw queries.
+    // Each is repaired by the instance chase. Null merges during a repair
+    // can leave multiplicity-2 tuples, so the set-valued flattening (the
+    // candidate the set-based semantics need) is tried before the raw one.
+    let doubled = chased.iter().map(doubled_database);
+    let raw = [q1, q2]
+        .into_iter()
+        .map(|q| canonical_database(&eqsql_cq::canonical_representation(q), 1000).db);
+    doubled
+        .chain(raw)
+        .filter_map(|db| match chase_database_guarded(&db, sigma, config, &guard) {
+            Ok(r) if !r.failed => Some(r.db),
+            _ => None,
+        })
+        .flat_map(|db| [db.to_set(), db])
+        .find(|db| separates(db))
 }
 
 /// Freezes `q` twice — the second copy with all non-head variables renamed
@@ -213,18 +217,13 @@ pub fn amplify(db: &Database, rel: Predicate, m: u64) -> Database {
     out
 }
 
-/// Placeholder-free re-export for convenience in tests.
-pub use eqsql_relalg::Tuple;
-
-#[allow(unused)]
-fn _assert_relation_is_sync(_: Relation) {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use eqsql_cq::parse_query;
     use eqsql_deps::parse_dependencies;
     use eqsql_relalg::eval::eval_bag;
+    use eqsql_relalg::Tuple;
 
     fn cfg() -> ChaseConfig {
         ChaseConfig::default()

@@ -1667,15 +1667,17 @@ impl Solver {
         }
         // Falsification: candidate databases from the chased queries,
         // repaired into models of Σ, verified to exhibit a multiplicity
-        // gap on the *original* queries.
-        let mut candidates: Vec<Database> = Vec::new();
-        candidates.push(canonical_database(&c1.query, 0).db);
-        if !c2.failed {
-            if let Some(db) = find_non_containment_witness(&c1.query, &c2.query, 8) {
-                candidates.push(db);
+        // gap on the *original* queries. The falsifier's search runs only
+        // if the canonical candidate and its repair fail.
+        let canonical = canonical_database(&c1.query, 0).db;
+        let falsified = std::iter::once_with(|| {
+            if c2.failed {
+                None
+            } else {
+                find_non_containment_witness(&c1.query, &c2.query, 8)
             }
-        }
-        for db in candidates {
+        });
+        for db in std::iter::once(canonical).chain(falsified.flatten()) {
             // Try the raw candidate first; only pay for the instance-chase
             // repair when it fails to verify (a candidate that already
             // satisfies Σ would repair to itself anyway).
