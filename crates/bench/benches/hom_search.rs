@@ -4,9 +4,12 @@
 //!
 //! * `hom_search/appendix_h/{planned,reference}/m=…`: premise searches of
 //!   the Appendix H family's dependencies against the (exponential)
-//!   terminal chase body — the raw search layer, one compiled plan reused
-//!   across every dependency check vs a per-call `HashMap`-backed
-//!   backtrack.
+//!   terminal chase body — the boxed [`MatchPlan`] that the one-shot
+//!   callers (containment, satisfaction, implication) use, one compiled
+//!   plan reused across every dependency check vs a per-call
+//!   `HashMap`-backed backtrack. The chase engine's own search layer is
+//!   the arena matcher, timed by the `arena/*/columnar` rows of the
+//!   `arena` bench.
 //! * `hom_search/chain/{delta,indexed,reference}/n=…`: the non-weakly-
 //!   acyclic budget-exhaustion chain `e(X,Y) -> e(Y,Z)` chased for `n`
 //!   steps. The applicable homomorphism always lives at the newest atom;

@@ -1,5 +1,7 @@
 //! Shared fixtures for benchmarks and the experiments binary.
 
+#![forbid(unsafe_code)]
+
 pub mod workloads;
 
 use eqsql_deps::{parse_dependencies, DependencySet};

@@ -49,8 +49,8 @@ pub fn is_assignment_fixing(
 /// [`is_assignment_fixing`] with a [`RunGuard`] threaded into the nested
 /// test-query chase, so a deadline or cancellation signalled mid-decision
 /// also aborts the (potentially budget-sized) inner chase promptly. The
-/// inner chase always runs in reference order — the guard, like parallel
-/// probes, never changes results, only whether the run finishes.
+/// inner chase always runs in reference order — the guard never changes
+/// results, only whether the run finishes.
 pub fn is_assignment_fixing_guarded(
     q: &CqQuery,
     sigma: &DependencySet,

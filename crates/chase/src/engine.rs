@@ -86,39 +86,19 @@
 //! the *newest* atom; the delta search finds it without rescanning the
 //! old ones, turning the O(n³) total premise-scan work into O(n²).
 //!
-//! ## Speculative parallel probes (`EngineOpts::probes`)
-//!
-//! The worklist makes queued dependencies independent until one fires:
-//! with `probes = k > 1`, the engine snapshots the k lowest queued
-//! dependencies and searches their first admissible homomorphisms on a
-//! **run-long worker pool** ([`eqsql_cq::matcher::ProbePool`]: `k-1`
-//! parked workers plus the caller's thread, jobs handed off per step —
-//! no thread is spawned inside the chase loop, so probing pays off on
-//! small steps too) against the same immutable body. The lowest-indexed
-//! actionable probe commits — exactly the dependency the sequential scan
-//! would have fired, so the step sequence is bit-identical — and
-//! "nothing to do" verdicts retire wholesale (they were all computed at
-//! the committed step's pre-state; subscription wake-ups re-arm them as
-//! usual). Probed verdicts *behind* an actionable one are discarded,
-//! never reused across a fire.
-//!
 //! One deliberate divergence from semi-naive purity: a *custom* admission
 //! predicate (the sound chase's assignment-fixing test) depends on the
 //! whole current query, not just the premise image — Example 5.1 of the
 //! paper is exactly a query whose growth flips a verdict. Dependencies
 //! rejected only by admission are therefore re-armed after **every**
 //! step, preserving the reference semantics; dependencies with no
-//! applicable homomorphism at all still enjoy delta scheduling. For the
-//! same reason custom admission keeps the sequential probe path: the
-//! predicate closes over mutable state and its verdict is only meaningful
-//! against the exact query it was asked about.
+//! applicable homomorphism at all still enjoy delta scheduling.
 
 use crate::error::{ChaseConfig, ChaseError};
 use crate::guard::RunGuard;
 use crate::index::BodyIndex;
 use crate::set_chase::{Chased, TraceEntry};
 use crate::step::{classify_egd_images, rename_dep_apart_mapped, DedupPolicy};
-use eqsql_cq::matcher::ProbePool;
 use eqsql_cq::{
     ArenaDelta, ArenaFrame, ArenaPlan, Atom, CqQuery, EqOp, Predicate, SeedMap, Subst, Term,
     TermArena, TermId, Var, VarSupply,
@@ -145,25 +125,19 @@ pub enum Admission<'a> {
 
 /// Tuning knobs for [`chase_indexed_opts`]. The default is the
 /// reference-identical configuration ([`EngineOpts::default`]).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct EngineOpts {
     /// Constrain each dependency's premise search to homomorphisms
     /// touching the atoms added/rewritten since its last exhaustive check
     /// (see the module docs). Changes the firing *order* (terminals stay
     /// equivalent); off by default.
     pub delta_seeding: bool,
-    /// Number of queued dependencies probed speculatively in parallel per
-    /// step; `0`/`1` = sequential. Step sequences are identical to the
-    /// sequential engine at any setting. Ignored (sequential) under
-    /// [`Admission::Custom`].
-    pub probes: usize,
     /// Cooperative deadline/cancellation guard, polled once per engine
     /// step alongside the budget checks. The default (unguarded) guard
     /// costs one `Option` test per step and never aborts, so the step
-    /// sequence is identical to the pre-guard engine. Like `probes` — and
-    /// unlike `delta_seeding` — the guard never changes firing order or
-    /// results, only whether the run finishes, so it is not part of any
-    /// cache key.
+    /// sequence is identical to the pre-guard engine. Unlike
+    /// `delta_seeding`, the guard never changes firing order or results,
+    /// only whether the run finishes, so it is not part of any cache key.
     pub guard: RunGuard,
     /// Work-attribution probe ([`eqsql_obs::StepProbe`]): counts committed
     /// steps and dependency scans. Pure accounting — the default disarmed
@@ -173,26 +147,10 @@ pub struct EngineOpts {
     pub probe: StepProbe,
 }
 
-impl Default for EngineOpts {
-    fn default() -> EngineOpts {
-        EngineOpts {
-            delta_seeding: false,
-            probes: 1,
-            guard: RunGuard::default(),
-            probe: StepProbe::default(),
-        }
-    }
-}
-
 impl EngineOpts {
-    /// Delta-seeded premise search, sequential probing.
+    /// Delta-seeded premise search.
     pub fn delta_seeded() -> EngineOpts {
         EngineOpts { delta_seeding: true, ..EngineOpts::default() }
-    }
-
-    /// Reference-order engine with `k` speculative probes.
-    pub fn with_probes(k: usize) -> EngineOpts {
-        EngineOpts { probes: k, ..EngineOpts::default() }
     }
 
     /// This configuration with the given [`RunGuard`].
@@ -234,11 +192,6 @@ impl Worklist {
     /// restart-from-σ₀ scan would reach first.
     fn pop_min(&self) -> Option<usize> {
         self.queued.iter().position(|&q| q)
-    }
-
-    /// Up to `k` lowest queued dependencies, ascending.
-    fn peek_min(&self, k: usize) -> Vec<usize> {
-        self.queued.iter().enumerate().filter_map(|(i, &q)| q.then_some(i)).take(k).collect()
     }
 
     fn retire(&mut self, i: usize, blocked_on_admit: bool) {
@@ -494,7 +447,7 @@ pub fn chase_indexed(
 }
 
 /// [`chase_indexed`] with explicit [`EngineOpts`] (delta-seeded premise
-/// search, speculative parallel probes).
+/// search, run guard, step probe).
 pub fn chase_indexed_opts(
     q: &CqQuery,
     sigma: &DependencySet,
@@ -526,11 +479,6 @@ pub fn chase_indexed_opts(
     let mut frames: Vec<DepFrames> = deps.iter().map(|_| DepFrames::new()).collect();
     let mut worklist = Worklist::new(sigma);
     let custom_admission = matches!(admission, Admission::Custom(_));
-    let probes = if custom_admission { 1 } else { opts.probes.max(1) };
-    // The run-long probe pool: k-1 parked workers (the caller's thread is
-    // the k-th) living for the whole chase — per-step job handoff, no
-    // thread spawn inside the loop.
-    let pool = (probes > 1).then(|| ProbePool::new(probes - 1));
     // Per-dependency cache for query-independent admission verdicts
     // (renaming-invariant, so one evaluation per dependency suffices).
     let mut dep_admitted: Vec<Option<bool>> = vec![None; deps.len()];
@@ -568,194 +516,182 @@ pub fn chase_indexed_opts(
         if index.len() >= config.max_atoms {
             return Err(ChaseError::QueryTooLarge { atoms: index.len() });
         }
-        // Pick the dependencies to examine this round: the single lowest
-        // queued one, or (speculatively) the `probes` lowest.
-        let picks = if probes > 1 {
-            worklist.peek_min(probes)
-        } else {
-            match worklist.pop_min() {
-                Some(i) => vec![i],
-                None => Vec::new(),
-            }
-        };
-        if picks.is_empty() {
+        let Some(i) = worklist.pop_min() else {
             // Worklist drained: no dependency applicable — terminal.
             return terminal!(false);
-        }
-        // Resolve query-independent admission before probing (cached,
-        // mutable closure): rejected dependencies retire for good.
-        if let Admission::QueryIndependent(admit) = &mut admission {
-            let mut any_left = false;
-            for &i in &picks {
-                if let Dependency::Tgd(t) = deps[i] {
-                    let allowed = *dep_admitted[i].get_or_insert_with(|| admit(t));
-                    if !allowed {
-                        worklist.retire(i, false);
-                        continue;
-                    }
-                }
-                any_left = true;
-            }
-            if !any_left {
+        };
+        // Query-independent admission is cached per dependency (the
+        // closure is mutable); a rejected dependency retires for good.
+        if let (Admission::QueryIndependent(admit), Dependency::Tgd(t)) = (&mut admission, deps[i])
+        {
+            if !*dep_admitted[i].get_or_insert_with(|| admit(t)) {
+                worklist.retire(i, false);
                 continue;
             }
         }
-        let admitted_q_indep =
-            |i: usize, dep_admitted: &[Option<bool>]| dep_admitted[i] != Some(false);
 
-        // The generation every scan this round runs against; delta-mode
-        // watermarks advance to it on an exhaustive no-find.
+        opts.probe.on_scan();
+        // The generation this scan runs against; delta-mode watermarks
+        // advance to it on an exhaustive no-find.
         let scan_gen = index.current_gen();
-        fn gather_delta(index: &BodyIndex, seeded: bool, watermark_i: u64) -> Option<ArenaDelta> {
-            if !seeded || watermark_i == 0 {
-                return None;
-            }
+        let delta = (opts.delta_seeding && watermark[i] != 0).then(|| {
             let mut d = ArenaDelta::new();
-            index.delta_since(watermark_i, &mut d);
-            Some(d)
-        }
-
-        // Scan the picked dependencies — on the pool when probing. Every
-        // scan reads the same immutable body snapshot. Custom admission
-        // is sequential (probes == 1) and handled below.
-        let scans: Vec<Scan> = if let Some(pool) = &pool {
-            let index_ref = &index;
-            let plans_ref = &plans;
-            let deps_ref = &deps;
-            let delta_seeding = opts.delta_seeding;
-            let watermark_ref = &watermark;
-            let jobs: Vec<Box<dyn FnOnce() -> Scan + Send + '_>> = picks
-                .iter()
-                .filter(|&&i| admitted_q_indep(i, &dep_admitted))
-                .map(|&i| {
-                    Box::new(move || {
-                        let delta = gather_delta(index_ref, delta_seeding, watermark_ref[i]);
-                        let mut pf = ArenaFrame::new();
-                        match deps_ref[i] {
-                            Dependency::Egd(_) => {
-                                scan_egd(&plans_ref[i], index_ref.arena(), &mut pf, delta.as_ref())
+            index.delta_since(watermark[i], &mut d);
+            d
+        });
+        let DepFrames { premise: pf, ext: ef } = &mut frames[i];
+        let scan = match (deps[i], &mut admission) {
+            (Dependency::Egd(_), _) => scan_egd(&plans[i], index.arena(), pf, delta.as_ref()),
+            // Custom admission: rename the dependency apart from the
+            // current query lazily (only this mode needs the renamed
+            // namespace) and consult the predicate with the homomorphism
+            // translated into it.
+            (Dependency::Tgd(_), Admission::Custom(admit)) => {
+                let head_ref = &head;
+                let (renamed, map) = rename_dep_apart_mapped(
+                    deps[i],
+                    |v| index.contains_var(v) || head_ref.contains(&Term::Var(v)),
+                    &mut supply,
+                );
+                let tgd_r = renamed.as_tgd().expect("renaming preserves kind");
+                let mut cur_cache: Option<CqQuery> = None;
+                let premise_plan = &plans[i].premise;
+                let index_ref = &index;
+                scan_tgd(
+                    &plans[i],
+                    index.arena(),
+                    pf,
+                    ef,
+                    delta.as_ref(),
+                    dedup_hom_bindings,
+                    false,
+                    &mut |slots| {
+                        // Boundary conversion: materialize the match as a
+                        // Subst in the renamed namespace for the predicate.
+                        let mut h = Subst::new();
+                        premise_plan.bind_subst(index_ref.arena(), slots, &mut h);
+                        let h_r = Subst::from_pairs(h.iter().map(|(v, t)| {
+                            match map.apply_term(&Term::Var(v)) {
+                                Term::Var(v_r) => (v_r, *t),
+                                Term::Const(_) => unreachable!("vars rename to vars"),
                             }
-                            Dependency::Tgd(_) => {
-                                let mut ef = ArenaFrame::new();
-                                scan_tgd(
-                                    &plans_ref[i],
-                                    index_ref.arena(),
-                                    &mut pf,
-                                    &mut ef,
-                                    delta.as_ref(),
-                                    dedup_hom_bindings,
-                                    delta_seeding,
-                                    &mut |_| true,
-                                )
-                            }
-                        }
-                    }) as Box<dyn FnOnce() -> Scan + Send + '_>
-                })
-                .collect();
-            opts.probe.on_scans(jobs.len() as u64);
-            pool.run(jobs)
-        } else {
-            let i = picks[0];
-            if !admitted_q_indep(i, &dep_admitted) {
-                continue;
+                        }));
+                        let cur = cur_cache
+                            .get_or_insert_with(|| index_ref.to_query(name, head_ref.clone()));
+                        admit(tgd_r, cur, &h_r)
+                    },
+                )
             }
-            opts.probe.on_scans(1);
-            let delta = gather_delta(&index, opts.delta_seeding, watermark[i]);
-            let DepFrames { premise: pf, ext: ef } = &mut frames[i];
-            let scan = match deps[i] {
-                Dependency::Egd(_) => scan_egd(&plans[i], index.arena(), pf, delta.as_ref()),
-                Dependency::Tgd(_) => {
-                    // Custom admission: rename the dependency apart from
-                    // the current query lazily (only this mode needs the
-                    // renamed namespace) and consult the predicate with
-                    // the homomorphism translated into it.
-                    match &mut admission {
-                        Admission::Custom(admit) => {
-                            let head_ref = &head;
-                            let (renamed, map) = rename_dep_apart_mapped(
-                                deps[i],
-                                |v| index.contains_var(v) || head_ref.contains(&Term::Var(v)),
-                                &mut supply,
-                            );
-                            let tgd_r = renamed.as_tgd().expect("renaming preserves kind");
-                            let mut cur_cache: Option<CqQuery> = None;
-                            let premise_plan = &plans[i].premise;
-                            let index_ref = &index;
-                            scan_tgd(
-                                &plans[i],
-                                index.arena(),
-                                pf,
-                                ef,
-                                delta.as_ref(),
-                                dedup_hom_bindings,
-                                false,
-                                &mut |slots| {
-                                    // Boundary conversion: materialize the
-                                    // match as a Subst in the renamed
-                                    // namespace for the predicate.
-                                    let mut h = Subst::new();
-                                    premise_plan.bind_subst(index_ref.arena(), slots, &mut h);
-                                    let h_r = Subst::from_pairs(h.iter().map(|(v, t)| {
-                                        match map.apply_term(&Term::Var(v)) {
-                                            Term::Var(v_r) => (v_r, *t),
-                                            Term::Const(_) => unreachable!("vars rename to vars"),
-                                        }
-                                    }));
-                                    let cur = cur_cache.get_or_insert_with(|| {
-                                        index_ref.to_query(name, head_ref.clone())
-                                    });
-                                    admit(tgd_r, cur, &h_r)
-                                },
-                            )
-                        }
-                        Admission::All | Admission::QueryIndependent(_) => scan_tgd(
-                            &plans[i],
-                            index.arena(),
-                            pf,
-                            ef,
-                            delta.as_ref(),
-                            dedup_hom_bindings,
-                            opts.delta_seeding,
-                            &mut |_| true,
-                        ),
-                    }
-                }
-            };
-            vec![scan]
+            (Dependency::Tgd(_), Admission::All | Admission::QueryIndependent(_)) => scan_tgd(
+                &plans[i],
+                index.arena(),
+                pf,
+                ef,
+                delta.as_ref(),
+                dedup_hom_bindings,
+                opts.delta_seeding,
+                &mut |_| true,
+            ),
         };
 
-        // Commit: walk the scans in dependency order; idle verdicts
-        // retire (every scan saw the same pre-step body), the first
-        // actionable one fires, later results are discarded unexamined —
-        // exactly the sequential schedule.
-        let live_picks: Vec<usize> =
-            picks.into_iter().filter(|&i| admitted_q_indep(i, &dep_admitted)).collect();
-        let mut committed = false;
-        for (&i, scan) in live_picks.iter().zip(scans.into_iter()) {
-            match scan {
-                Scan::Idle { saw_applicable } => {
-                    worklist.retire(i, saw_applicable);
-                    if opts.delta_seeding && !saw_applicable {
-                        // Exhausted over everything below scan_gen: old
-                        // verdicts carried over, the delta was searched.
-                        watermark[i] = scan_gen;
+        match scan {
+            Scan::Idle { saw_applicable } => {
+                worklist.retire(i, saw_applicable);
+                if opts.delta_seeding && !saw_applicable {
+                    // Exhausted over everything below scan_gen: old
+                    // verdicts carried over, the delta was searched.
+                    watermark[i] = scan_gen;
+                }
+                continue;
+            }
+            Scan::EgdFailed => {
+                trace.push(TraceEntry {
+                    dep_index: i,
+                    dep: deps[i].to_string(),
+                    action: "equated distinct constants: chase failed".into(),
+                    body_size: index.len(),
+                });
+                return terminal!(true);
+            }
+            Scan::EgdFire(from, to) => {
+                renaming.rewrite(from, to);
+                let changed = index.apply_rewrite(from, &to, dedup);
+                for t in &mut head {
+                    if *t == Term::Var(from) {
+                        *t = to;
                     }
                 }
-                Scan::EgdFailed => {
-                    trace.push(TraceEntry {
-                        dep_index: i,
-                        dep: deps[i].to_string(),
-                        action: "equated distinct constants: chase failed".into(),
-                        body_size: index.len(),
-                    });
-                    return terminal!(true);
-                }
-                Scan::EgdFire(from, to) => {
-                    renaming.rewrite(from, to);
-                    let changed = index.apply_rewrite(from, &to, dedup);
-                    for t in &mut head {
-                        if *t == Term::Var(from) {
-                            *t = to;
+                steps += 1;
+                index.advance_gen();
+                opts.probe.on_step();
+                trace.push(TraceEntry {
+                    dep_index: i,
+                    dep: deps[i].to_string(),
+                    action: format!("egd: {from} := {to}"),
+                    body_size: index.len(),
+                });
+                // The substitution rewrote at least one atom of the egd's
+                // own premise image, so `changed` re-arms it along with
+                // every other listener. The watermark is NOT advanced:
+                // delta candidates behind the first violation are still
+                // unexamined.
+                worklist.wake_subscribers(&changed);
+            }
+            Scan::TgdFire(homs) => {
+                let dp = &plans[i];
+                let ext = dp.extension.as_ref().expect("tgd extension plan");
+                for (k, slots) in homs.into_iter().enumerate() {
+                    if k > 0 {
+                        // Loop-head poll covers the first fire; later
+                        // fires in the batch are their own steps.
+                        opts.guard.poll(steps)?;
+                    }
+                    if steps >= config.max_steps {
+                        return Err(ChaseError::BudgetExhausted { steps });
+                    }
+                    if index.len() >= config.max_atoms {
+                        return Err(ChaseError::QueryTooLarge { atoms: index.len() });
+                    }
+                    // Under batch-firing an earlier fire in this very batch
+                    // may have witnessed this homomorphism's conclusion;
+                    // re-validate before firing.
+                    if k > 0 {
+                        let ef = &mut frames[i].ext;
+                        ef.reset(ext.slot_count());
+                        ef.seed_from(&dp.ext_seed, &slots);
+                        if ext.has_match(index.arena(), ef) {
+                            continue;
+                        }
+                    }
+                    // Mint the existentials in declaration order (the
+                    // fresh-name sequence must match the reference).
+                    exist_ids.clear();
+                    for z in &dp.existentials {
+                        let fresh = Term::Var(supply.fresh(z.name()));
+                        exist_ids.push(index.arena_mut().intern(fresh));
+                    }
+                    let mut added_preds: Vec<Predicate> = Vec::new();
+                    let mut added: Vec<Atom> = Vec::with_capacity(dp.conclusion.len());
+                    for (table, ops) in &dp.conclusion {
+                        arg_ids.clear();
+                        for op in ops {
+                            arg_ids.push(match op {
+                                ConOp::Const(id) => *id,
+                                ConOp::Prem(s) => slots[*s as usize],
+                                ConOp::Exist(e) => exist_ids[*e as usize],
+                            });
+                        }
+                        // The trace lists every instantiated rhs atom,
+                        // inserted or deduped away (as the reference does)
+                        // — a boundary conversion.
+                        let pred = index.arena().table(*table).key().0;
+                        added.push(Atom {
+                            pred,
+                            args: arg_ids.iter().map(|&id| index.arena().term(id)).collect(),
+                        });
+                        if index.insert_ids(*table, &arg_ids, dedup) && !added_preds.contains(&pred)
+                        {
+                            added_preds.push(pred);
                         }
                     }
                     steps += 1;
@@ -764,117 +700,32 @@ pub fn chase_indexed_opts(
                     trace.push(TraceEntry {
                         dep_index: i,
                         dep: deps[i].to_string(),
-                        action: format!("egd: {from} := {to}"),
+                        action: format!(
+                            "tgd: added {}",
+                            added.iter().map(|a| a.to_string()).collect::<Vec<_>>().join(" ∧ ")
+                        ),
                         body_size: index.len(),
                     });
-                    // The substitution rewrote at least one atom of the
-                    // egd's own premise image, so `changed` re-arms it
-                    // along with every other listener. The watermark is
-                    // NOT advanced: delta candidates behind the first
-                    // violation are still unexamined.
-                    worklist.wake_subscribers(&changed);
-                    committed = true;
+                    worklist.wake_subscribers(&added_preds);
                 }
-                Scan::TgdFire(homs) => {
-                    let tgd = match deps[i] {
-                        Dependency::Tgd(t) => t,
-                        Dependency::Egd(_) => unreachable!("tgd scan on egd"),
-                    };
-                    let dp = &plans[i];
-                    let ext = dp.extension.as_ref().expect("tgd extension plan");
-                    for (k, slots) in homs.into_iter().enumerate() {
-                        if k > 0 {
-                            // Loop-head poll covers the first fire; later
-                            // fires in the batch are their own steps.
-                            opts.guard.poll(steps)?;
-                        }
-                        if steps >= config.max_steps {
-                            return Err(ChaseError::BudgetExhausted { steps });
-                        }
-                        if index.len() >= config.max_atoms {
-                            return Err(ChaseError::QueryTooLarge { atoms: index.len() });
-                        }
-                        // Under batch-firing an earlier fire in this very
-                        // batch may have witnessed this homomorphism's
-                        // conclusion; re-validate before firing.
-                        if k > 0 {
-                            let ef = &mut frames[i].ext;
-                            ef.reset(ext.slot_count());
-                            ef.seed_from(&dp.ext_seed, &slots);
-                            if ext.has_match(index.arena(), ef) {
-                                continue;
-                            }
-                        }
-                        // Mint the existentials in declaration order (the
-                        // fresh-name sequence must match the reference).
-                        exist_ids.clear();
-                        for z in &dp.existentials {
-                            let fresh = Term::Var(supply.fresh(z.name()));
-                            exist_ids.push(index.arena_mut().intern(fresh));
-                        }
-                        let mut added_preds: Vec<Predicate> = Vec::new();
-                        let mut added: Vec<Atom> = Vec::with_capacity(dp.conclusion.len());
-                        for (table, ops) in &dp.conclusion {
-                            arg_ids.clear();
-                            for op in ops {
-                                arg_ids.push(match op {
-                                    ConOp::Const(id) => *id,
-                                    ConOp::Prem(s) => slots[*s as usize],
-                                    ConOp::Exist(e) => exist_ids[*e as usize],
-                                });
-                            }
-                            // The trace lists every instantiated rhs atom,
-                            // inserted or deduped away (as the reference
-                            // does) — a boundary conversion.
-                            let pred = index.arena().table(*table).key().0;
-                            added.push(Atom {
-                                pred,
-                                args: arg_ids.iter().map(|&id| index.arena().term(id)).collect(),
-                            });
-                            if index.insert_ids(*table, &arg_ids, dedup)
-                                && !added_preds.contains(&pred)
-                            {
-                                added_preds.push(pred);
-                            }
-                        }
-                        steps += 1;
-                        index.advance_gen();
-                        opts.probe.on_step();
-                        trace.push(TraceEntry {
-                            dep_index: i,
-                            dep: deps[i].to_string(),
-                            action: format!(
-                                "tgd: added {}",
-                                added.iter().map(|a| a.to_string()).collect::<Vec<_>>().join(" ∧ ")
-                            ),
-                            body_size: index.len(),
-                        });
-                        let _ = tgd;
-                        worklist.wake_subscribers(&added_preds);
-                    }
-                    // The same tgd may be applicable through another
-                    // homomorphism whose premise predicates are not
-                    // among the added atoms — stay armed. Under delta
-                    // seeding the batch drained every pre-`scan_gen`
-                    // candidate, so the watermark advances; future
-                    // checks only examine the batch's own additions.
-                    // (The first collected homomorphism always fires — it
-                    // was validated applicable against this very body —
-                    // so the commit is never empty.)
-                    worklist.queued[i] = true;
-                    if opts.delta_seeding && !custom_admission {
-                        watermark[i] = scan_gen;
-                    }
-                    committed = true;
+                // The same tgd may be applicable through another
+                // homomorphism whose premise predicates are not among the
+                // added atoms — stay armed. Under delta seeding the batch
+                // drained every pre-`scan_gen` candidate, so the watermark
+                // advances; future checks only examine the batch's own
+                // additions. (The first collected homomorphism always
+                // fires — it was validated applicable against this very
+                // body — so the batch is never empty.)
+                worklist.queued[i] = true;
+                if opts.delta_seeding && !custom_admission {
+                    watermark[i] = scan_gen;
                 }
             }
-            if committed {
-                if custom_admission {
-                    for j in worklist.wake_admission_blocked() {
-                        watermark[j] = 0;
-                    }
-                }
-                break; // one commit per round, like the sequential scan
+        }
+        // A step committed: admission verdicts do not carry across steps.
+        if custom_admission {
+            for j in worklist.wake_admission_blocked() {
+                watermark[j] = 0;
             }
         }
     }
@@ -940,41 +791,6 @@ mod tests {
             let seq_b: Vec<usize> = b.trace.iter().map(|t| t.dep_index).collect();
             assert_eq!(seq_a, seq_b, "dependency firing order diverged on {q}");
             assert!(are_isomorphic(&a.query, &b.query), "{} vs {}", a.query, b.query);
-        }
-    }
-
-    /// Speculative probing commits the same step sequence as the
-    /// sequential engine — bit-identical traces, any probe width.
-    #[test]
-    fn parallel_probes_match_sequential_step_sequence() {
-        let cases = [
-            (
-                "q4(X) :- p(X,Y)",
-                "p(X,Y) -> s(X,Z) & t(X,V,W).\n\
-                 p(X,Y) -> t(X,Y,W).\n\
-                 p(X,Y) -> r(X).\n\
-                 p(X,Y) -> u(X,Z) & t(X,Y,W).\n\
-                 s(X,Y) & s(X,Z) -> Y = Z.\n\
-                 t(X,Y,W1) & t(X,Y,W2) -> W1 = W2.",
-            ),
-            (
-                "q(X) :- p(X,Y), s(X,Z)",
-                "p(X,Y) -> s(X,Z) & t(Z,Y).\n\
-                 t(X,Y) & t(Z,Y) -> X = Z.",
-            ),
-        ];
-        for (q, sigma) in cases {
-            for k in [2usize, 4, 8] {
-                let (seq, _) = run_both(q, sigma, &ChaseConfig::default());
-                let (par, _) =
-                    run_both_opts(q, sigma, &ChaseConfig::default(), &EngineOpts::with_probes(k));
-                let (seq, par) = (seq.unwrap(), par.unwrap());
-                assert_eq!(seq.steps, par.steps, "probes={k} diverged on {q}");
-                let a: Vec<usize> = seq.trace.iter().map(|t| t.dep_index).collect();
-                let b: Vec<usize> = par.trace.iter().map(|t| t.dep_index).collect();
-                assert_eq!(a, b, "probes={k} firing order diverged on {q}");
-                assert!(are_isomorphic(&seq.query, &par.query));
-            }
         }
     }
 

@@ -35,13 +35,14 @@
 //! dependency scheduling. [`mod@set_chase`], [`sound_chase`] and
 //! [`key_based_chase`] are thin entry points over it; [`EngineOpts`]
 //! opts into delta-*seeded* premise search (budget-exhaustion
-//! asymptotics) and speculative parallel dependency probes. The original
+//! asymptotics). The original
 //! naive restart-scan driver survives as [`mod@reference`] — the
 //! differential-testing oracle (`tests/tests/engine_differential.rs`)
 //! that pins the engine to the paper's step semantics, with the
 //! underlying naive homomorphism search preserved as
 //! `eqsql_cq::matcher::reference` (`tests/tests/matcher_differential.rs`).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

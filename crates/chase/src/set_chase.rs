@@ -70,10 +70,10 @@ pub fn set_chase(
 }
 
 /// [`set_chase`] with explicit engine options — delta-seeded premise
-/// search for budget-exhaustion shapes, speculative parallel dependency
-/// probes. With [`EngineOpts::default`] this is exactly [`set_chase`];
-/// delta seeding trades the reference-identical step order for asymptotic
-/// wins (results stay Σ-equivalent — see the engine docs).
+/// search for budget-exhaustion shapes, a run guard, a step probe. With
+/// [`EngineOpts::default`] this is exactly [`set_chase`]; delta seeding
+/// trades the reference-identical step order for asymptotic wins
+/// (results stay Σ-equivalent — see the engine docs).
 pub fn set_chase_opts(
     q: &CqQuery,
     sigma: &DependencySet,
@@ -83,25 +83,14 @@ pub fn set_chase_opts(
     chase_indexed_opts(q, sigma, config, &DedupPolicy::All, Admission::All, opts)
 }
 
-/// The general chase driver, parameterized by dedup policy and a per-step
-/// admission predicate (used by the sound chase to filter tgd steps).
+/// The general chase driver, parameterized by dedup policy, a per-step
+/// admission predicate (used by the sound chase to filter tgd steps) and
+/// [`EngineOpts`].
 ///
 /// `admit(tgd, query, hom)` decides whether an *applicable* tgd step may
 /// fire; the tgd passed in is already renamed apart from the query, and
 /// `hom` maps its premise into the query body. Egd steps always fire (they
-/// are sound under every semantics — Theorems 4.1(2)/4.3(2)).
-pub fn chase_with_policy(
-    q: &CqQuery,
-    sigma: &DependencySet,
-    config: &ChaseConfig,
-    dedup: &DedupPolicy,
-    admit: &mut dyn FnMut(&eqsql_deps::Tgd, &CqQuery, &Subst) -> bool,
-) -> Result<Chased, ChaseError> {
-    chase_indexed(q, sigma, config, dedup, Admission::Custom(admit))
-}
-
-/// [`chase_with_policy`] with explicit [`EngineOpts`]. Probes stay
-/// sequential under custom admission (the engine enforces this); delta
+/// are sound under every semantics — Theorems 4.1(2)/4.3(2)). Delta
 /// seeding applies with the conservative custom-admission watermarks.
 pub fn chase_with_policy_opts(
     q: &CqQuery,

@@ -104,11 +104,10 @@ pub fn sound_chase_prepared(
 }
 
 /// [`sound_chase_prepared`] with explicit [`EngineOpts`] — delta-seeded
-/// premise search and speculative parallel probes, as configured by a
-/// `Solver` in `eqsql_service`. With [`EngineOpts::default`] this is
-/// exactly [`sound_chase_prepared`]; delta seeding trades the
-/// reference-identical step order for asymptotic wins (terminals stay
-/// Σ-equivalent), and probes never change results at all.
+/// premise search, run guard and step probe, as configured by a `Solver`
+/// in `eqsql_service`. With [`EngineOpts::default`] this is exactly
+/// [`sound_chase_prepared`]; delta seeding trades the reference-identical
+/// step order for asymptotic wins (terminals stay Σ-equivalent).
 pub fn sound_chase_prepared_opts(
     sem: Semantics,
     q: &CqQuery,

@@ -312,6 +312,35 @@ mod tests {
     }
 
     #[test]
+    fn bag_witnesses_amplify_the_first_relation_on_every_call() {
+        // Amplifying any one of a–d separates this pair; both bag-semantics
+        // witness searches must pick the same relation, the first in body
+        // order, on every call in one process.
+        let q1 = parse_query("q(X) :- a(X), a(X), b(X), b(X), c(X), c(X), d(X), d(X)").unwrap();
+        let q2 = parse_query("q(X) :- a(X), b(X), c(X), d(X)").unwrap();
+        let schema = Schema::all_bags(&[("a", 1), ("b", 1), ("c", 1), ("d", 1)]);
+        let amplified = |db: &Database| -> Vec<Predicate> {
+            db.iter().filter(|(_, r)| r.iter().any(|(_, m)| m > 1)).map(|(p, _)| p).collect()
+        };
+        let a = vec![Predicate::new("a")];
+        for call in 0..40 {
+            let lemma_d1 = separating_database(
+                Semantics::Bag,
+                &q1,
+                &q2,
+                &DependencySet::new(),
+                &schema,
+                &cfg(),
+            )
+            .expect("an amplification separates the pair");
+            assert_eq!(amplified(&lemma_d1), a, "separating_database, call {call}");
+            let bounded = crate::bag_containment::find_non_containment_witness(&q1, &q2, 8)
+                .expect("an amplification separates the pair");
+            assert_eq!(amplified(&bounded), a, "find_non_containment_witness, call {call}");
+        }
+    }
+
+    #[test]
     fn amplify_multiplies_one_relation() {
         let mut db = Database::new();
         db.insert("r", Tuple::ints([1]), 2);

@@ -25,6 +25,7 @@
 //!   m-copy amplification of Lemma D.1;
 //! * the **Query-Reformulation Problem** API ([`problem`], §3).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -64,6 +64,7 @@
 //!   differential suites remain independent of this module.
 
 use crate::atom::{Atom, Predicate};
+use crate::matcher::greedy_order;
 use crate::subst::Subst;
 use crate::term::{Term, Var};
 use std::collections::HashMap;
@@ -249,8 +250,7 @@ impl TermArena {
 
 /// Delta candidates for [`ArenaPlan::search_delta`]: recently added or
 /// rewritten rows, grouped by table, in touch order (duplicates allowed —
-/// the pinned passes tolerate them, mirroring
-/// [`crate::matcher::DeltaSlots`]).
+/// the pinned passes tolerate them).
 #[derive(Default, Debug)]
 pub struct ArenaDelta {
     by_table: HashMap<u32, Vec<u32>>,
@@ -348,7 +348,7 @@ impl ArenaPlan {
     /// already-bound slots first, ties toward fewer fresh variables, then
     /// the original position. Existence-only searches only.
     pub fn optimized(src: &[Atom], bound: &[Var], arena: &mut TermArena) -> ArenaPlan {
-        ArenaPlan::compile(src, optimized_order(src, bound, |_| 0), arena)
+        ArenaPlan::compile(src, greedy_order(src, bound, |_| 0), arena)
     }
 
     /// The table id of step `i` — exposed for tests and benches that
@@ -364,7 +364,7 @@ impl ArenaPlan {
     /// *set* is order-independent).
     pub fn optimized_with_stats(src: &[Atom], bound: &[Var], arena: &mut TermArena) -> ArenaPlan {
         let cards: Vec<usize> = src.iter().map(|a| arena.live_count(&a.key())).collect();
-        ArenaPlan::compile(src, optimized_order(src, bound, |i| cards[i]), arena)
+        ArenaPlan::compile(src, greedy_order(src, bound, |i| cards[i]), arena)
     }
 
     fn compile(src: &[Atom], order: Vec<usize>, arena: &mut TermArena) -> ArenaPlan {
@@ -475,9 +475,12 @@ impl ArenaPlan {
     }
 
     /// [`ArenaPlan::search`] restricted to matches using at least one
-    /// delta row: one pinned pass per plan step, mirroring
-    /// [`crate::matcher::MatchPlan::search_delta`] (matches touching
-    /// several delta rows may be emitted once per pass).
+    /// delta row: one pinned pass per plan step, where pass `p` draws step
+    /// `p`'s candidates from the delta only, so a conjunction of `k` atoms
+    /// costs `k` searches that each touch the delta instead of the whole
+    /// table. Matches touching several delta rows may be emitted once per
+    /// pass; first-match callers don't care and enumerating callers dedup
+    /// by slot values.
     pub fn search_delta(
         &self,
         arena: &TermArena,
@@ -560,55 +563,6 @@ impl ArenaPlan {
         }
         true
     }
-}
-
-/// The greedy atom ordering shared by [`ArenaPlan::optimized`] and
-/// [`ArenaPlan::optimized_with_stats`]: maximize `pinned*8 - fresh` (the
-/// boxed heuristic, so the two representations pick identical orders when
-/// `card` is constant), break ties toward the smaller live table (`card`
-/// maps a source atom index to its table's cardinality), then the
-/// original position.
-fn optimized_order(src: &[Atom], bound: &[Var], card: impl Fn(usize) -> usize) -> Vec<usize> {
-    let mut order: Vec<usize> = Vec::with_capacity(src.len());
-    let mut placed = vec![false; src.len()];
-    let mut known: std::collections::HashSet<Var> = bound.iter().copied().collect();
-    for _ in 0..src.len() {
-        let mut best: Option<(i64, usize, usize)> = None; // (score, card, idx)
-        for (i, atom) in src.iter().enumerate() {
-            if placed[i] {
-                continue;
-            }
-            let mut pinned = 0i64;
-            let mut fresh = 0i64;
-            let mut seen_here: Vec<Var> = Vec::new();
-            for t in &atom.args {
-                match t {
-                    Term::Const(_) => pinned += 1,
-                    Term::Var(v) => {
-                        if known.contains(v) || seen_here.contains(v) {
-                            pinned += 1;
-                        } else {
-                            fresh += 1;
-                            seen_here.push(*v);
-                        }
-                    }
-                }
-            }
-            let score = pinned * 8 - fresh;
-            let c = card(i);
-            // Strictly better score, or equal score with a strictly
-            // smaller candidate table; ascending scan keeps the lowest
-            // original index on full ties.
-            if best.map_or(true, |(s, bc, _)| score > s || (score == s && c < bc)) {
-                best = Some((score, c, i));
-            }
-        }
-        let (_, _, i) = best.expect("unplaced atom remains");
-        placed[i] = true;
-        known.extend(src[i].vars());
-        order.push(i);
-    }
-    order
 }
 
 /// The reusable arena search state: dense slot array plus undo trail.

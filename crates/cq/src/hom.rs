@@ -7,131 +7,23 @@
 //! mapping search is NP-complete in general; the inputs in this workspace
 //! are small symbolic queries.
 //!
-//! Since the matcher refactor these free functions are thin wrappers over
-//! the planned, trail-based search in [`crate::matcher`]; the plans they
-//! build preserve the source atom order, so emission order (and therefore
-//! every "first homomorphism" choice) is identical to the historical naive
-//! backtracker, which survives as [`crate::matcher::reference`]. Callers
-//! with a hot loop should compile a [`MatchPlan`]
-//! once and search it directly instead of paying the per-call compile here.
+//! [`containment_mapping`] runs on the planned, trail-based search in
+//! [`crate::matcher`]; its plan preserves the source atom order, so the
+//! mapping it returns is the one the naive backtracker
+//! ([`crate::matcher::reference`]) finds first. Other homomorphism
+//! searches compile a [`MatchPlan`] and search
+//! it directly.
 
-use crate::atom::Atom;
-use crate::matcher::{MatchPlan, Seed, Target};
+use crate::matcher::{bucket_atoms, MatchPlan, Seed, Target};
 use crate::query::CqQuery;
 use crate::subst::Subst;
 use crate::term::Term;
 
-pub use crate::matcher::{bucket_atoms, Buckets};
-
-/// Upper bound on the number of homomorphisms [`enumerate_homomorphisms`]
-/// will materialize before reporting truncation (a guard against
+/// Upper bound on the number of homomorphisms the reference chase driver
+/// enumerates per premise before it reports truncation (a guard against
 /// pathological inputs; the chase never comes close on paper-scale
 /// inputs).
 pub const MAX_HOMOMORPHISMS: usize = 200_000;
-
-/// The result of an exhaustive homomorphism enumeration.
-#[derive(Clone, Debug)]
-pub struct HomEnumeration {
-    /// The homomorphisms found, deduplicated by their variable bindings,
-    /// in the deterministic search order.
-    pub homs: Vec<Subst>,
-    /// Did the enumeration stop at [`MAX_HOMOMORPHISMS`] with candidates
-    /// left unexplored? When set, `homs` is an arbitrary prefix — treat
-    /// any universally quantified conclusion drawn from it as unverified.
-    pub truncated: bool,
-}
-
-/// Lazily enumerates homomorphisms from `src` into `dst` extending `seed`,
-/// restricted to the target atoms listed in `buckets` (which may cover only
-/// a live subset of `dst` — dead slots simply never appear as candidates).
-/// `emit` receives each complete homomorphism; returning `false` stops the
-/// search immediately. No homomorphism set is ever materialized, but each
-/// emission does materialize one `Subst` for the callback — hot loops
-/// should search a compiled [`MatchPlan`] directly and read the borrowed
-/// [`Match`](crate::matcher::Match) instead.
-pub fn search_homomorphisms(
-    src: &[Atom],
-    dst: &[Atom],
-    buckets: &Buckets,
-    seed: &Subst,
-    emit: &mut dyn FnMut(&Subst) -> bool,
-) {
-    let plan = MatchPlan::new(src);
-    plan.search(Target::new(dst, buckets), &Seed::Subst(seed), &mut |m| emit(&m.to_subst()));
-}
-
-/// Finds one homomorphism from `src` to `dst` extending `seed` and
-/// satisfying `pred`, short-circuiting at the first hit. Candidates are
-/// enumerated in the same deterministic order as [`enumerate_homomorphisms`].
-pub fn find_homomorphism_where(
-    src: &[Atom],
-    dst: &[Atom],
-    seed: &Subst,
-    pred: &mut dyn FnMut(&Subst) -> bool,
-) -> Option<Subst> {
-    let buckets = bucket_atoms(dst);
-    let plan = MatchPlan::new(src);
-    let mut found: Option<Subst> = None;
-    plan.search(Target::new(dst, &buckets), &Seed::Subst(seed), &mut |m| {
-        let h = m.to_subst();
-        if pred(&h) {
-            found = Some(h);
-            false
-        } else {
-            true
-        }
-    });
-    found
-}
-
-/// Finds one homomorphism from `src` to `dst` extending `seed`, if any.
-pub fn extend_homomorphism(src: &[Atom], dst: &[Atom], seed: &Subst) -> Option<Subst> {
-    let buckets = bucket_atoms(dst);
-    extend_homomorphism_with_buckets(src, dst, &buckets, seed)
-}
-
-/// [`extend_homomorphism`] against caller-maintained buckets.
-pub fn extend_homomorphism_with_buckets(
-    src: &[Atom],
-    dst: &[Atom],
-    buckets: &Buckets,
-    seed: &Subst,
-) -> Option<Subst> {
-    MatchPlan::new(src).first_match(Target::new(dst, buckets), &Seed::Subst(seed))
-}
-
-/// Finds one homomorphism from `src` to `dst`, if any.
-pub fn find_homomorphism(src: &[Atom], dst: &[Atom]) -> Option<Subst> {
-    extend_homomorphism(src, dst, &Subst::new())
-}
-
-/// Enumerates all homomorphisms from `src` to `dst` extending `seed`,
-/// deduplicated by their variable bindings. Deduplication compares the
-/// plan's dense slot array in place — no per-emission allocation — and
-/// enumeration past [`MAX_HOMOMORPHISMS`] is reported via
-/// [`HomEnumeration::truncated`] instead of being silently dropped.
-pub fn enumerate_homomorphisms(src: &[Atom], dst: &[Atom], seed: &Subst) -> HomEnumeration {
-    let buckets = bucket_atoms(dst);
-    let plan = MatchPlan::new(src);
-    let mut homs: Vec<Subst> = Vec::new();
-    let mut truncated = false;
-    let mut seen: std::collections::HashSet<Box<[Term]>> = std::collections::HashSet::new();
-    plan.search(Target::new(dst, &buckets), &Seed::Subst(seed), &mut |m| {
-        // Membership test borrows the live slot slice; only genuinely new
-        // homomorphisms allocate (their `Subst` is materialized anyway).
-        if seen.contains(m.slots()) {
-            return true;
-        }
-        if homs.len() == MAX_HOMOMORPHISMS {
-            truncated = true;
-            return false;
-        }
-        seen.insert(m.slots().to_vec().into_boxed_slice());
-        homs.push(m.to_subst());
-        true
-    });
-    HomEnumeration { homs, truncated }
-}
 
 /// A containment mapping from `from` to `to`: a homomorphism between the
 /// bodies that maps the head of `from` onto the head of `to`, position by
@@ -193,75 +85,6 @@ mod tests {
     }
 
     #[test]
-    fn identity_homomorphism_exists() {
-        let a = q("q(X) :- p(X,Y), s(Y,Z)");
-        assert!(find_homomorphism(&a.body, &a.body).is_some());
-    }
-
-    #[test]
-    fn homomorphism_can_collapse_variables() {
-        let src = q("q(X) :- p(X,Y), p(Y,X)");
-        let dst = q("q(X) :- p(X,X)");
-        let h = find_homomorphism(&src.body, &dst.body).unwrap();
-        assert_eq!(h.apply_term(&Term::var("Y")), h.apply_term(&Term::var("X")));
-    }
-
-    #[test]
-    fn no_homomorphism_on_missing_predicate() {
-        let src = q("q(X) :- p(X,Y), r(Y)");
-        let dst = q("q(X) :- p(X,Y)");
-        assert!(find_homomorphism(&src.body, &dst.body).is_none());
-    }
-
-    #[test]
-    fn constants_must_match() {
-        let src = q("q(X) :- p(X, 3)");
-        let dst_ok = q("q(X) :- p(X, 3)");
-        let dst_bad = q("q(X) :- p(X, 4)");
-        assert!(find_homomorphism(&src.body, &dst_ok.body).is_some());
-        assert!(find_homomorphism(&src.body, &dst_bad.body).is_none());
-    }
-
-    #[test]
-    fn all_homomorphisms_counts_targets() {
-        let src = q("q() :- p(X)");
-        let dst = q("q() :- p(A), p(B), p(C)");
-        let e = enumerate_homomorphisms(&src.body, &dst.body, &Subst::new());
-        assert_eq!(e.homs.len(), 3);
-        assert!(!e.truncated);
-    }
-
-    #[test]
-    fn all_homomorphisms_dedups_bindings() {
-        // Duplicate target atoms yield the same variable mapping.
-        let src = q("q() :- p(X)");
-        let dst = q("q() :- p(A), p(A)");
-        let e = enumerate_homomorphisms(&src.body, &dst.body, &Subst::new());
-        assert_eq!(e.homs.len(), 1);
-    }
-
-    #[test]
-    fn enumeration_reports_truncation() {
-        // 2^18 = 262144 > MAX_HOMOMORPHISMS homomorphisms: 18 independent
-        // source atoms with 2 candidates each.
-        let src_body: Vec<Atom> = (0..18)
-            .map(|i| Atom::new(&format!("p{i}"), vec![Term::var(&format!("X{i}"))]))
-            .collect();
-        let mut dst_body: Vec<Atom> = Vec::new();
-        for i in 0..18 {
-            dst_body.push(Atom::new(&format!("p{i}"), vec![Term::int(0)]));
-            dst_body.push(Atom::new(&format!("p{i}"), vec![Term::int(1)]));
-        }
-        let e = enumerate_homomorphisms(&src_body, &dst_body, &Subst::new());
-        assert!(e.truncated);
-        assert_eq!(e.homs.len(), MAX_HOMOMORPHISMS);
-        // A small instance is complete and unflagged.
-        let small = enumerate_homomorphisms(&src_body[..2], &dst_body[..4], &Subst::new());
-        assert!(!small.truncated);
-        assert_eq!(small.homs.len(), 4);
-    }
-
-    #[test]
     fn containment_mapping_respects_head() {
         // Classic: q1(X) :- p(X,Y) contains q2(X) :- p(X,X)? A containment
         // mapping from q1 to q2 maps X->X, Y->X: exists, so q2 ⊑ q1.
@@ -295,33 +118,5 @@ mod tests {
         // The empty substitution is not a containment mapping here either:
         // p(X,Y) is not an atom of q2.
         assert!(!is_containment_mapping(&q1, &q2, &Subst::new()));
-    }
-
-    #[test]
-    fn seeded_extension() {
-        let src = q("q() :- p(X,Y)");
-        let dst = q("q() :- p(1,2), p(3,4)");
-        let seed = Subst::from_pairs([(crate::term::Var::new("X"), Term::int(3))]);
-        let h = extend_homomorphism(&src.body, &dst.body, &seed).unwrap();
-        assert_eq!(h.apply_term(&Term::var("Y")), Term::int(4));
-    }
-
-    #[test]
-    fn wrappers_agree_with_reference_backtracker() {
-        let src = q("q() :- p(X,Y), p(Y,Z), r(Z)");
-        let dst = q("q() :- p(1,2), p(2,3), p(2,2), r(3), r(2)");
-        let planned = enumerate_homomorphisms(&src.body, &dst.body, &Subst::new()).homs;
-        let (naive, truncated) = crate::matcher::reference::enumerate_homomorphisms(
-            &src.body,
-            &dst.body,
-            &Subst::new(),
-            MAX_HOMOMORPHISMS,
-        );
-        assert!(!truncated);
-        assert_eq!(planned, naive, "emission order or dedup diverged from the oracle");
-        assert_eq!(
-            find_homomorphism(&src.body, &dst.body),
-            crate::matcher::reference::extend_homomorphism(&src.body, &dst.body, &Subst::new())
-        );
     }
 }

@@ -10,7 +10,7 @@
 
 use crate::atom::Atom;
 use crate::query::CqQuery;
-use crate::term::Var;
+use crate::term::{Term, Var};
 use std::collections::HashMap;
 
 /// Are `q1` and `q2` isomorphic (same query up to bijective variable
@@ -27,12 +27,13 @@ pub fn are_isomorphic(q1: &CqQuery, q2: &CqQuery) -> bool {
 /// The returned map is total on `q1.all_vars()` and injective; its image is
 /// exactly `q2.all_vars()`.
 ///
-/// The multiset matching itself runs on the planned, trail-based search of
-/// [`crate::matcher`] ([`crate::matcher::find_bijection`]): the body atoms
-/// are compiled into a reference-order `MatchPlan` (the O(n) compile wins
-/// on the small bodies this runs against) and matched injectively under a
-/// bijective variable pairing. Only the cheap shape rejects live here.
+/// After the cheap shape rejects, a trail-based backtracking search pairs
+/// `q1`'s body atoms, in written order, with unused `q2` atoms under a
+/// bijective variable pairing seeded by the heads.
 pub fn find_isomorphism(q1: &CqQuery, q2: &CqQuery) -> Option<HashMap<Var, Var>> {
+    // Equal body sizes are what make the injective atom matching below
+    // surjective: without them an injective-but-not-surjective map would
+    // pass for an isomorphism.
     if q1.head.len() != q2.head.len() || q1.body.len() != q2.body.len() {
         return None;
     }
@@ -47,7 +48,83 @@ pub fn find_isomorphism(q1: &CqQuery, q2: &CqQuery) -> Option<HashMap<Var, Var>>
     if counts.values().any(|&c| c != 0) {
         return None;
     }
-    crate::matcher::find_bijection(&q1.body, &q1.head, &q2.body, &q2.head)
+    let mut iso = IsoFrame {
+        fwd: HashMap::new(),
+        bwd: HashMap::new(),
+        used: vec![false; q2.body.len()],
+        trail: Vec::new(),
+    };
+    for (s, t) in q1.head.iter().zip(q2.head.iter()) {
+        if !iso.pair_terms(s, t) {
+            return None;
+        }
+    }
+    iso.match_atoms(&q1.body, &q2.body, 0).then_some(iso.fwd)
+}
+
+/// The bijection search state: the forward and reverse variable pairing
+/// and a used-target mask, all undone along a trail on backtracking.
+struct IsoFrame {
+    fwd: HashMap<Var, Var>,
+    bwd: HashMap<Var, Var>,
+    used: Vec<bool>,
+    /// Source vars bound since the start, for undo.
+    trail: Vec<Var>,
+}
+
+impl IsoFrame {
+    /// Pairs `s ↔ t` under the bijection; records new pairs on the trail.
+    /// On `false` the caller undoes to its mark.
+    fn pair_terms(&mut self, s: &Term, t: &Term) -> bool {
+        match (s, t) {
+            (Term::Const(c), Term::Const(d)) => c == d,
+            (Term::Var(a), Term::Var(b)) => match (self.fwd.get(a), self.bwd.get(b)) {
+                (Some(b0), _) => b0 == b,
+                (None, Some(_)) => false, // b already paired with another var
+                (None, None) => {
+                    self.fwd.insert(*a, *b);
+                    self.bwd.insert(*b, *a);
+                    self.trail.push(*a);
+                    true
+                }
+            },
+            _ => false,
+        }
+    }
+
+    fn undo_to(&mut self, mark: usize) {
+        while self.trail.len() > mark {
+            let a = self.trail.pop().expect("trail underflow");
+            if let Some(b) = self.fwd.remove(&a) {
+                self.bwd.remove(&b);
+            }
+        }
+    }
+
+    /// Matches `src[depth..]` injectively onto unused `dst` atoms.
+    fn match_atoms(&mut self, src: &[Atom], dst: &[Atom], depth: usize) -> bool {
+        let Some(atom) = src.get(depth) else {
+            return true;
+        };
+        // Linear candidate scan with a key filter: iso targets are the
+        // same (small) size as the source, so a bucket map would cost
+        // more than it saves.
+        for j in 0..dst.len() {
+            if self.used[j] || dst[j].key() != atom.key() {
+                continue;
+            }
+            let mark = self.trail.len();
+            if atom.args.iter().zip(dst[j].args.iter()).all(|(s, t)| self.pair_terms(s, t)) {
+                self.used[j] = true;
+                if self.match_atoms(src, dst, depth + 1) {
+                    return true;
+                }
+                self.used[j] = false;
+            }
+            self.undo_to(mark);
+        }
+        false
+    }
 }
 
 /// Checks that `map` really is an isomorphism witness from `q1` onto `q2`:
@@ -113,7 +190,6 @@ mod tests {
     use super::*;
     use crate::atom::Predicate;
     use crate::parser::parse_query;
-    use crate::term::Term;
 
     fn q(s: &str) -> CqQuery {
         parse_query(s).unwrap()
@@ -201,6 +277,18 @@ mod tests {
         let s = crate::subst::Subst::from_pairs(m.iter().map(|(v, w)| (*v, Term::Var(*w))));
         assert!(are_isomorphic(&a.apply(&s), &b));
         assert!(find_isomorphism(&a, &q("q(X) :- p(X,Y), p(Y,Z)")).is_none());
+    }
+
+    #[test]
+    fn bijection_search_finds_renamings_only() {
+        let a = q("q(X) :- p(X,Y), s(Y,Z)");
+        let b = q("q(A) :- s(B,C), p(A,B)");
+        let m = find_isomorphism(&a, &b).expect("isomorphic");
+        assert_eq!(m.get(&Var::new("X")), Some(&Var::new("A")));
+        assert_eq!(m.get(&Var::new("Y")), Some(&Var::new("B")));
+        // Collapsing map is not a bijection.
+        let c = q("q(X) :- p(X,X), s(X,X)");
+        assert!(find_isomorphism(&a, &c).is_none());
     }
 
     #[test]

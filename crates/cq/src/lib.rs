@@ -15,18 +15,17 @@
 //!   predicate tables ([`TermArena`], [`ArenaPlan`]) — that the chase
 //!   engine's hot path runs on, allocation-free per step;
 //! * [`Subst`]itutions and homomorphism machinery: the planned,
-//!   trail-based [`matcher`] (compiled [`matcher::MatchPlan`]s, delta-
-//!   constrained search, parallel probe fan-out, and the naive
-//!   [`matcher::reference`] oracle) with the classical free functions of
-//!   [`hom`] — homomorphism search between conjunctions, containment
-//!   mappings (Chandra–Merlin), exhaustive enumeration — as thin wrappers
-//!   over it;
+//!   trail-based [`matcher`] (compiled [`matcher::MatchPlan`]s for
+//!   one-shot searches over boxed atoms, and the naive
+//!   [`matcher::reference`] oracle) and [`hom`]'s containment mappings
+//!   (Chandra–Merlin) over it;
 //! * query [`iso`]morphism — the bag-equivalence test of Chaudhuri & Vardi
 //!   (Theorem 2.1 of the paper) — and canonical representations;
 //! * a datalog-style [`parser`] and matching [`std::fmt::Display`]
 //!   implementations, plus a reusable [`lex`]er shared with the dependency
 //!   and SQL frontends.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
@@ -47,13 +46,9 @@ pub mod value;
 pub use aggregate::{AggFn, AggregateQuery};
 pub use arena::{ArenaDelta, ArenaFrame, ArenaPlan, ColumnTable, EqOp, SeedMap, TermArena, TermId};
 pub use atom::{Atom, Predicate};
-pub use hom::{
-    bucket_atoms, containment_mapping, enumerate_homomorphisms, extend_homomorphism,
-    extend_homomorphism_with_buckets, find_homomorphism, find_homomorphism_where,
-    is_containment_mapping, search_homomorphisms, Buckets, HomEnumeration,
-};
+pub use hom::{containment_mapping, is_containment_mapping};
 pub use iso::{are_isomorphic, canonical_representation, find_isomorphism, is_isomorphism};
-pub use matcher::{DeltaSlots, Match, MatchPlan, Seed, Target};
+pub use matcher::{bucket_atoms, Buckets, Match, MatchPlan, Seed, Target};
 pub use parser::{parse_program, parse_query, ParseError};
 pub use query::{CqQuery, VarSupply};
 pub use subst::Subst;

@@ -1,13 +1,22 @@
-//! The planned, trail-based homomorphism matcher — the one search engine
-//! behind every decision procedure in the workspace.
+//! The planned, trail-based homomorphism matcher over boxed atoms.
 //!
 //! Chase termination (§4 of the paper), Σ-equivalence and sound C&B (§5),
 //! dependency implication and satisfaction, query isomorphism, and bag
 //! containment all bottom out in homomorphism search between conjunctions
-//! of atoms. Before this module they ran five independent copies of the
-//! same naive backtracker, each cloning a `HashMap`-backed [`Subst`] per
-//! seed and per emitted match with a static left-to-right atom order. The
-//! matcher replaces all of them with one compiled-plan search:
+//! of atoms. Two compiled plans share one design — dense variable slots,
+//! flat argument ops, an undo trail — and one atom-ordering heuristic,
+//! and split the callers by how long a target lives:
+//!
+//! * [`MatchPlan`] (this module) searches boxed [`Atom`] slices directly.
+//!   It serves the **one-shot** callers — containment mappings
+//!   ([`crate::containment_mapping`]), bag containment, and dependency
+//!   satisfaction and implication — which search a target once or a few
+//!   times and then drop it. Loading such a target into a
+//!   [`crate::TermArena`] first costs more than the search it would speed
+//!   up.
+//! * [`crate::ArenaPlan`] searches `u32` term ids in columnar tables. It
+//!   serves the chase engines, whose target lives for a whole run and is
+//!   searched at every step; only there does interning once pay off.
 //!
 //! ## Plan format
 //!
@@ -21,16 +30,11 @@
 //!   `Slot(s)` (bind or compare slot `s`);
 //! * `new` keeps the original atom order, so the emission sequence is
 //!   bit-identical to the naive backtracker's ([`mod@reference`]) — required
-//!   wherever "the first homomorphism" is semantically load-bearing (the
-//!   chase engine's firing order); `optimized` greedily reorders atoms by
-//!   selectivity and connectivity (constants and already-bound slots
-//!   first, atoms joined to the bound prefix before cartesian detours) —
-//!   safe for every existence-only or set-valued use.
-//!
-//! Because slots are symbolic, a plan is **renaming-invariant**: the chase
-//! engine compiles one plan per dependency and reuses it across every
-//! step, even though the naive path had to rename the dependency apart
-//! from the evolving query before each search.
+//!   wherever "the first homomorphism" is semantically load-bearing;
+//!   `optimized` greedily reorders atoms by selectivity and connectivity
+//!   (constants and already-bound slots first, atoms joined to the bound
+//!   prefix before cartesian detours) — safe for every existence-only or
+//!   set-valued use.
 //!
 //! ## Trail invariants
 //!
@@ -48,33 +52,6 @@
 //!   it — emit callbacks observe a fully bound frame but must not hold
 //!   onto it past their return.
 //!
-//! ## Delta semantics
-//!
-//! [`MatchPlan::search_delta`] restricts the search to matches that use at
-//! least one target atom from a caller-supplied **delta** ([`DeltaSlots`]:
-//! the atoms added or rewritten since the calling dependency's last
-//! exhaustive check). It runs one *pinned* pass per plan step — pass `p`
-//! draws step `p`'s candidates from the delta only — so a conjunction
-//! with `k` atoms costs `k` pinned searches, each touching the delta
-//! instead of the whole target. A match using several delta atoms may be
-//! emitted once per pinned pass; first-match callers don't care and
-//! enumerating callers dedup by slot values. This is what turns the
-//! `e(X,Y) -> e(Y,Z)` budget-exhaustion chase from quadratic to linear
-//! work per step: the applicable homomorphism lives at the newest atom,
-//! and the pinned pass finds it without rescanning the old ones.
-//!
-//! ## Parallel probes
-//!
-//! [`probe_all`] fans independent read-only searches out across scoped
-//! worker threads and returns their results in submission order. The
-//! chase engine uses it to probe several queued dependencies' first
-//! admissible homomorphisms speculatively: the lowest-indexed actionable
-//! probe commits — preserving the reference firing order exactly — and
-//! "no match" verdicts for the others are retired wholesale, since every
-//! probe ran against the same immutable body snapshot. (Custom admission
-//! predicates — the sound chase's assignment-fixing test of Example 5.1 —
-//! close over mutable state and keep the sequential path.)
-//!
 //! The naive backtracker survives unchanged as [`mod@reference`], the
 //! differential-testing oracle (`tests/tests/matcher_differential.rs`).
 
@@ -86,9 +63,8 @@ use std::collections::HashMap;
 /// Target atoms bucketed by predicate/arity: for each key, the indices
 /// into the target slice holding an atom with that key, ascending.
 ///
-/// Callers that repeatedly search the same (evolving) target — the
-/// incremental chase engine's `BodyIndex` — maintain one of these across
-/// calls instead of letting every search rebuild it.
+/// Callers that search the same target several times build one of these
+/// and pass it to every search instead of letting each search rebuild it.
 pub type Buckets = HashMap<(Predicate, usize), Vec<usize>>;
 
 /// Builds the bucket map for a target slice.
@@ -132,34 +108,6 @@ pub enum Seed<'a> {
     /// intermediate `Subst`). Out-of-plan bindings are *not* carried into
     /// [`Match::to_subst`].
     Fn(&'a dyn Fn(Var) -> Option<Term>),
-}
-
-/// Delta candidates for [`MatchPlan::search_delta`]: the recently
-/// added/rewritten target slots, grouped by predicate/arity key.
-#[derive(Default, Debug)]
-pub struct DeltaSlots {
-    by_key: HashMap<(Predicate, usize), Vec<usize>>,
-}
-
-impl DeltaSlots {
-    /// An empty delta (no search will emit anything).
-    pub fn new() -> DeltaSlots {
-        DeltaSlots::default()
-    }
-
-    /// Records `slot` (holding `atom`) as part of the delta.
-    pub fn push(&mut self, atom: &Atom, slot: usize) {
-        self.by_key.entry(atom.key()).or_default().push(slot);
-    }
-
-    /// Is the delta empty?
-    pub fn is_empty(&self) -> bool {
-        self.by_key.values().all(|v| v.is_empty())
-    }
-
-    fn get(&self, key: &(Predicate, usize)) -> Option<&[usize]> {
-        self.by_key.get(key).map(|v| v.as_slice())
-    }
 }
 
 /// One argument of a plan step.
@@ -219,7 +167,7 @@ impl MatchPlan {
     /// original position (stability). Only the *order* changes — the
     /// emitted match set is the same as [`MatchPlan::new`]'s.
     pub fn optimized(src: &[Atom], bound: &[Var]) -> MatchPlan {
-        MatchPlan::compile(src, MatchPlan::greedy_order(src, bound, |_| 0))
+        MatchPlan::compile(src, greedy_order(src, bound, |_| 0))
     }
 
     /// [`MatchPlan::optimized`] with live cardinality statistics
@@ -234,54 +182,7 @@ impl MatchPlan {
         bound: &[Var],
         card: &dyn Fn(&(Predicate, usize)) -> usize,
     ) -> MatchPlan {
-        MatchPlan::compile(src, MatchPlan::greedy_order(src, bound, |a| card(&a.key())))
-    }
-
-    /// Greedy atom ordering: maximize `pinned*8 - fresh` (constants and
-    /// already-bound slots first, fewer fresh variables on ties), break
-    /// remaining ties toward the smaller candidate set per `card`, then
-    /// the original position (stability).
-    fn greedy_order(src: &[Atom], bound: &[Var], card: impl Fn(&Atom) -> usize) -> Vec<usize> {
-        let mut order: Vec<usize> = Vec::with_capacity(src.len());
-        let mut placed = vec![false; src.len()];
-        let mut known: std::collections::HashSet<Var> = bound.iter().copied().collect();
-        for _ in 0..src.len() {
-            let mut best: Option<(i64, usize, usize)> = None; // (score, card, idx)
-            for (i, atom) in src.iter().enumerate() {
-                if placed[i] {
-                    continue;
-                }
-                let mut pinned = 0i64; // constants + already-known vars
-                let mut fresh = 0i64; // distinct new vars introduced
-                let mut seen_here: Vec<Var> = Vec::new();
-                for t in &atom.args {
-                    match t {
-                        Term::Const(_) => pinned += 1,
-                        Term::Var(v) => {
-                            if known.contains(v) || seen_here.contains(v) {
-                                pinned += 1;
-                            } else {
-                                fresh += 1;
-                                seen_here.push(*v);
-                            }
-                        }
-                    }
-                }
-                // Higher is better; full ties resolve to the lowest
-                // original index because the scan is ascending and the
-                // comparisons are strict.
-                let score = pinned * 8 - fresh;
-                let c = card(atom);
-                if best.map_or(true, |(s, bc, _)| score > s || (score == s && c < bc)) {
-                    best = Some((score, c, i));
-                }
-            }
-            let (_, _, i) = best.expect("unplaced atom remains");
-            placed[i] = true;
-            known.extend(src[i].vars());
-            order.push(i);
-        }
-        order
+        MatchPlan::compile(src, greedy_order(src, bound, |i| card(&src[i].key())))
     }
 
     fn compile(src: &[Atom], order: Vec<usize>) -> MatchPlan {
@@ -311,29 +212,9 @@ impl MatchPlan {
         MatchPlan { steps, ops, vars }
     }
 
-    /// Number of source atoms.
-    pub fn len(&self) -> usize {
-        self.steps.len()
-    }
-
-    /// Is the source conjunction empty?
-    pub fn is_empty(&self) -> bool {
-        self.steps.is_empty()
-    }
-
-    /// Number of dense variable slots.
-    pub fn slot_count(&self) -> usize {
-        self.vars.len()
-    }
-
     /// The slot of `v`, if `v` occurs in the source conjunction.
     pub fn slot(&self, v: Var) -> Option<u32> {
         self.vars.iter().position(|w| *w == v).map(|s| s as u32)
-    }
-
-    /// The source variables in slot order.
-    pub fn slot_vars(&self) -> &[Var] {
-        &self.vars
     }
 
     /// Enumerates matches of the plan against `target`, extending `seed`.
@@ -346,30 +227,7 @@ impl MatchPlan {
         emit: &mut dyn FnMut(&Match<'_>) -> bool,
     ) -> bool {
         let mut frame = Frame::new(self, seed);
-        self.run(&mut frame, target, None, usize::MAX, seed, emit)
-    }
-
-    /// [`MatchPlan::search`] restricted to matches that use at least one
-    /// target slot from `delta`. See the module docs for the pinned-pass
-    /// decomposition (matches touching several delta atoms may be emitted
-    /// once per pass).
-    pub fn search_delta(
-        &self,
-        target: Target<'_>,
-        delta: &DeltaSlots,
-        seed: &Seed<'_>,
-        emit: &mut dyn FnMut(&Match<'_>) -> bool,
-    ) -> bool {
-        let mut frame = Frame::new(self, seed);
-        for pin in 0..self.steps.len() {
-            if delta.get(&self.steps[pin].key).is_none_or(|c| c.is_empty()) {
-                continue; // nothing in the delta can satisfy this step
-            }
-            if !self.run(&mut frame, target, Some(delta), pin, seed, emit) {
-                return false;
-            }
-        }
-        true
+        self.run_step(&mut frame, target, 0, seed, emit)
     }
 
     /// First match extending `seed`, if any, materialized as a [`Subst`].
@@ -392,27 +250,11 @@ impl MatchPlan {
         hit
     }
 
-    /// Depth-first search from `frame`. `pin == usize::MAX` means no step
-    /// is pinned to the delta.
-    fn run(
-        &self,
-        frame: &mut Frame,
-        target: Target<'_>,
-        delta: Option<&DeltaSlots>,
-        pin: usize,
-        seed: &Seed<'_>,
-        emit: &mut dyn FnMut(&Match<'_>) -> bool,
-    ) -> bool {
-        self.run_step(frame, target, delta, pin, 0, seed, emit)
-    }
-
-    #[allow(clippy::too_many_arguments)]
+    /// Depth-first search from `frame` at plan step `depth`.
     fn run_step(
         &self,
         frame: &mut Frame,
         target: Target<'_>,
-        delta: Option<&DeltaSlots>,
-        pin: usize,
         depth: usize,
         seed: &Seed<'_>,
         emit: &mut dyn FnMut(&Match<'_>) -> bool,
@@ -421,15 +263,11 @@ impl MatchPlan {
             return emit(&Match { plan: self, slots: &frame.slots, seed });
         }
         let step = &self.steps[depth];
-        let cands: &[usize] = if depth == pin {
-            delta.and_then(|d| d.get(&step.key)).unwrap_or(&[])
-        } else {
-            target.buckets.get(&step.key).map(|v| v.as_slice()).unwrap_or(&[])
-        };
+        let cands: &[usize] = target.buckets.get(&step.key).map_or(&[], Vec::as_slice);
         for &j in cands {
             let mark = frame.trail.len();
             if frame.try_bind(self.step_ops(step), &target.atoms[j]) {
-                let keep_going = self.run_step(frame, target, delta, pin, depth + 1, seed, emit);
+                let keep_going = self.run_step(frame, target, depth + 1, seed, emit);
                 frame.undo_to(mark);
                 if !keep_going {
                     return false;
@@ -440,6 +278,59 @@ impl MatchPlan {
         }
         true
     }
+}
+
+/// The greedy atom ordering both [`MatchPlan::optimized`] and
+/// [`crate::ArenaPlan::optimized`] compile with: maximize `pinned*8 -
+/// fresh` (constants and already-bound slots first, fewer fresh variables
+/// on ties), break remaining ties toward the smaller candidate set per
+/// `card` (which maps a source atom index to its live cardinality; a
+/// constant disables it), then the original position (stability).
+pub(crate) fn greedy_order(
+    src: &[Atom],
+    bound: &[Var],
+    card: impl Fn(usize) -> usize,
+) -> Vec<usize> {
+    let mut order: Vec<usize> = Vec::with_capacity(src.len());
+    let mut placed = vec![false; src.len()];
+    let mut known: std::collections::HashSet<Var> = bound.iter().copied().collect();
+    for _ in 0..src.len() {
+        let mut best: Option<(i64, usize, usize)> = None; // (score, card, idx)
+        for (i, atom) in src.iter().enumerate() {
+            if placed[i] {
+                continue;
+            }
+            let mut pinned = 0i64; // constants + already-known vars
+            let mut fresh = 0i64; // distinct new vars introduced
+            let mut seen_here: Vec<Var> = Vec::new();
+            for t in &atom.args {
+                match t {
+                    Term::Const(_) => pinned += 1,
+                    Term::Var(v) => {
+                        if known.contains(v) || seen_here.contains(v) {
+                            pinned += 1;
+                        } else {
+                            fresh += 1;
+                            seen_here.push(*v);
+                        }
+                    }
+                }
+            }
+            // Higher is better; full ties resolve to the lowest
+            // original index because the scan is ascending and the
+            // comparisons are strict.
+            let score = pinned * 8 - fresh;
+            let c = card(i);
+            if best.is_none_or(|(s, bc, _)| score > s || (score == s && c < bc)) {
+                best = Some((score, c, i));
+            }
+        }
+        let (_, _, i) = best.expect("unplaced atom remains");
+        placed[i] = true;
+        known.extend(src[i].vars());
+        order.push(i);
+    }
+    order
 }
 
 /// The reusable search state: dense slot array plus undo trail. See the
@@ -569,289 +460,6 @@ impl Match<'_> {
             out.set(*v, self.slots[slot]);
         }
         out
-    }
-}
-
-/// Runs independent jobs on scoped worker threads, returning their
-/// results in submission order. The chase engine's speculative dependency
-/// probes go through here; each job must only read shared state.
-///
-/// Jobs beyond the first run on spawned threads; the first runs on the
-/// caller's thread (no spawn cost for the sequential case and exactly
-/// `jobs.len() - 1` threads otherwise).
-pub fn probe_all<R: Send>(jobs: Vec<Box<dyn FnOnce() -> R + Send + '_>>) -> Vec<R> {
-    if jobs.is_empty() {
-        return Vec::new();
-    }
-    if jobs.len() == 1 {
-        return jobs.into_iter().map(|j| j()).collect();
-    }
-    std::thread::scope(|scope| {
-        let mut jobs = jobs.into_iter();
-        let first = jobs.next().expect("nonempty");
-        let handles: Vec<_> = jobs.map(|j| scope.spawn(j)).collect();
-        let mut out = Vec::with_capacity(handles.len() + 1);
-        out.push(first());
-        for h in handles {
-            out.push(h.join().expect("probe worker panicked"));
-        }
-        out
-    })
-}
-
-/// A run-long pool of parked worker threads for speculative probes.
-///
-/// [`probe_all`] spawns (and joins) `k - 1` scoped threads on **every**
-/// chase step, which swamps the probe payoff on small steps. A
-/// `ProbePool` pays the spawn cost once per run: workers park on a
-/// condvar and [`ProbePool::run`] hands them jobs per step, blocking
-/// until every job has finished — the same barrier semantics as
-/// `probe_all`, with identical submission-order results (the first job
-/// still runs on the caller's thread). Worker panics are caught and
-/// re-raised on the caller.
-pub struct ProbePool {
-    shared: std::sync::Arc<PoolShared>,
-    workers: Vec<std::thread::JoinHandle<()>>,
-}
-
-type ErasedJob = Box<dyn FnOnce() + Send + 'static>;
-
-struct PoolShared {
-    queue: std::sync::Mutex<std::collections::VecDeque<ErasedJob>>,
-    available: std::sync::Condvar,
-    shutdown: std::sync::atomic::AtomicBool,
-}
-
-/// Lock a mutex, recovering from poisoning (no pool invariant is
-/// protected by unwinding — results slots are all-or-nothing).
-fn lock<'a, T>(m: &'a std::sync::Mutex<T>) -> std::sync::MutexGuard<'a, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-impl ProbePool {
-    /// A pool with `workers` parked threads (at least one). A pool sized
-    /// for `k`-wide probing wants `k - 1` workers: the caller's thread
-    /// runs the first job.
-    pub fn new(workers: usize) -> ProbePool {
-        let shared = std::sync::Arc::new(PoolShared {
-            queue: std::sync::Mutex::new(std::collections::VecDeque::new()),
-            available: std::sync::Condvar::new(),
-            shutdown: std::sync::atomic::AtomicBool::new(false),
-        });
-        let workers = (0..workers.max(1))
-            .map(|_| {
-                let shared = std::sync::Arc::clone(&shared);
-                std::thread::spawn(move || loop {
-                    let job = {
-                        let mut q = lock(&shared.queue);
-                        loop {
-                            if let Some(j) = q.pop_front() {
-                                break j;
-                            }
-                            if shared.shutdown.load(std::sync::atomic::Ordering::Acquire) {
-                                return;
-                            }
-                            q = shared
-                                .available
-                                .wait(q)
-                                .unwrap_or_else(std::sync::PoisonError::into_inner);
-                        }
-                    };
-                    job();
-                })
-            })
-            .collect();
-        ProbePool { shared, workers }
-    }
-
-    /// Runs the jobs, first on the caller's thread and the rest on pool
-    /// workers, and returns their results in submission order. Blocks
-    /// until **every** submitted job has completed, so the jobs may
-    /// borrow from the caller's stack even though the internal handoff
-    /// erases their lifetimes.
-    pub fn run<'env, R: Send + 'env>(
-        &self,
-        jobs: Vec<Box<dyn FnOnce() -> R + Send + 'env>>,
-    ) -> Vec<R> {
-        let n = jobs.len();
-        if n <= 1 {
-            return jobs.into_iter().map(|j| j()).collect();
-        }
-        struct RunState<R> {
-            results: std::sync::Mutex<Vec<Option<std::thread::Result<R>>>>,
-            pending: std::sync::Mutex<usize>,
-            done: std::sync::Condvar,
-        }
-        let state = std::sync::Arc::new(RunState::<R> {
-            results: std::sync::Mutex::new((0..n).map(|_| None).collect()),
-            pending: std::sync::Mutex::new(n - 1),
-            done: std::sync::Condvar::new(),
-        });
-        let mut jobs = jobs.into_iter();
-        let first = jobs.next().expect("n > 1");
-        {
-            let mut q = lock(&self.shared.queue);
-            for (k, job) in jobs.enumerate() {
-                let st = std::sync::Arc::clone(&state);
-                let closure: Box<dyn FnOnce() + Send + 'env> = Box::new(move || {
-                    let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
-                    lock(&st.results)[k + 1] = Some(r);
-                    let mut p = lock(&st.pending);
-                    *p -= 1;
-                    if *p == 0 {
-                        st.done.notify_all();
-                    }
-                });
-                // SAFETY: the erased closure borrows (at most) from
-                // `'env`, and this function does not return until the
-                // barrier below has observed every job complete — the
-                // borrows cannot outlive the frames they point into. A
-                // `Box<dyn FnOnce + Send>` has the same layout for any
-                // lifetime bound; only the bound is erased.
-                let erased: ErasedJob = unsafe {
-                    std::mem::transmute::<Box<dyn FnOnce() + Send + 'env>, ErasedJob>(closure)
-                };
-                q.push_back(erased);
-            }
-            self.shared.available.notify_all();
-        }
-        let first_result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(first));
-        {
-            let mut p = lock(&state.pending);
-            while *p > 0 {
-                p = state.done.wait(p).unwrap_or_else(std::sync::PoisonError::into_inner);
-            }
-        }
-        let mut slots = lock(&state.results);
-        slots[0] = Some(first_result);
-        slots
-            .drain(..)
-            .map(|r| match r.expect("barrier guarantees completion") {
-                Ok(v) => v,
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect()
-    }
-}
-
-impl Drop for ProbePool {
-    fn drop(&mut self) {
-        self.shared.shutdown.store(true, std::sync::atomic::Ordering::Release);
-        self.shared.available.notify_all();
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-    }
-}
-
-/// Query isomorphism search routed through the plan machinery: a
-/// bijective variable pairing carrying `src` onto a sub-multiset of
-/// `dst_atoms` that uses every target exactly once (size mismatches are
-/// rejected up front), seeded by the head pairs. Returns the
-/// witnessing forward map. Unlike the homomorphism frame this tracks a
-/// reverse binding and a used-target mask, both trail-undone.
-pub fn find_bijection(
-    src: &[Atom],
-    src_head: &[Term],
-    dst_atoms: &[Atom],
-    dst_head: &[Term],
-) -> Option<HashMap<Var, Var>> {
-    // Reference-order plan: the O(n) compile beats the greedy reorder's
-    // payoff on the small bodies this runs against (the chase-cache hit
-    // path does an isomorphism check per probe), and the injective
-    // used-mask already prunes hard.
-    // Guard both documented preconditions here: a size mismatch would
-    // otherwise let match_steps succeed with target atoms left unused —
-    // an injective-but-not-surjective map passed off as an isomorphism.
-    if src.len() != dst_atoms.len() || src_head.len() != dst_head.len() {
-        return None;
-    }
-    let plan = MatchPlan::new(src);
-    let mut iso = IsoFrame {
-        fwd: HashMap::new(),
-        bwd: HashMap::new(),
-        used: vec![false; dst_atoms.len()],
-        trail: Vec::new(),
-    };
-    for (s, t) in src_head.iter().zip(dst_head.iter()) {
-        if !iso.pair_terms(s, t) {
-            return None;
-        }
-    }
-    iso.match_steps(&plan, dst_atoms, 0).then(|| iso.fwd.clone())
-}
-
-struct IsoFrame {
-    fwd: HashMap<Var, Var>,
-    bwd: HashMap<Var, Var>,
-    used: Vec<bool>,
-    /// Source vars bound since the start, for undo.
-    trail: Vec<Var>,
-}
-
-impl IsoFrame {
-    /// Pairs `s ↔ t` under the bijection; records new pairs on the trail.
-    /// On `false` the caller undoes to its mark.
-    fn pair_terms(&mut self, s: &Term, t: &Term) -> bool {
-        match (s, t) {
-            (Term::Const(c), Term::Const(d)) => c == d,
-            (Term::Var(a), Term::Var(b)) => match (self.fwd.get(a), self.bwd.get(b)) {
-                (Some(b0), _) => b0 == b,
-                (None, Some(_)) => false, // b already paired with another var
-                (None, None) => {
-                    self.fwd.insert(*a, *b);
-                    self.bwd.insert(*b, *a);
-                    self.trail.push(*a);
-                    true
-                }
-            },
-            _ => false,
-        }
-    }
-
-    fn undo_to(&mut self, mark: usize) {
-        while self.trail.len() > mark {
-            let a = self.trail.pop().expect("trail underflow");
-            if let Some(b) = self.fwd.remove(&a) {
-                self.bwd.remove(&b);
-            }
-        }
-    }
-
-    fn match_steps(&mut self, plan: &MatchPlan, dst: &[Atom], depth: usize) -> bool {
-        if depth == plan.steps.len() {
-            return true;
-        }
-        let step = &plan.steps[depth];
-        // Linear candidate scan with a key filter: iso targets are the
-        // same (small) size as the source, so the bucket map a
-        // homomorphism search amortizes would cost more than it saves.
-        for j in 0..dst.len() {
-            if self.used[j] || dst[j].key() != step.key {
-                continue;
-            }
-            let mark = self.trail.len();
-            let mut ok = true;
-            for (op, dt) in plan.step_ops(step).iter().zip(dst[j].args.iter()) {
-                let st = match op {
-                    ArgOp::Const(c) => *c,
-                    ArgOp::Slot(s) => Term::Var(plan.vars[*s as usize]),
-                };
-                if !self.pair_terms(&st, dt) {
-                    ok = false;
-                    break;
-                }
-            }
-            if ok {
-                self.used[j] = true;
-                if self.match_steps(plan, dst, depth + 1) {
-                    return true;
-                }
-                self.used[j] = false;
-            }
-            self.undo_to(mark);
-        }
-        false
     }
 }
 
@@ -1075,24 +683,7 @@ mod tests {
     }
 
     #[test]
-    fn delta_search_requires_a_delta_atom() {
-        let src = q("q() :- e(X,Y)").body;
-        let dst = q("q() :- e(1,2), e(2,3), e(3,4)").body;
-        let buckets = bucket_atoms(&dst);
-        let plan = MatchPlan::new(&src);
-        let mut delta = DeltaSlots::new();
-        delta.push(&dst[2], 2); // only the newest atom is "new"
-        let mut hits = Vec::new();
-        plan.search_delta(Target::new(&dst, &buckets), &delta, &Seed::Empty, &mut |m| {
-            hits.push(m.to_subst());
-            true
-        });
-        assert_eq!(hits.len(), 1);
-        assert_eq!(hits[0].get(Var::new("X")), Some(&Term::int(3)));
-    }
-
-    #[test]
-    fn empty_plan_emits_once_and_never_under_delta() {
+    fn empty_plan_emits_once() {
         let dst = q("q() :- p(1)").body;
         let buckets = bucket_atoms(&dst);
         let plan = MatchPlan::new(&[]);
@@ -1102,51 +693,6 @@ mod tests {
             true
         });
         assert_eq!(n, 1);
-        let mut nd = 0;
-        plan.search_delta(
-            Target::new(&dst, &buckets),
-            &DeltaSlots::new(),
-            &Seed::Empty,
-            &mut |_| {
-                nd += 1;
-                true
-            },
-        );
-        assert_eq!(nd, 0, "an empty conjunction can never touch the delta");
-    }
-
-    #[test]
-    fn probe_all_preserves_submission_order() {
-        let jobs: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..7usize)
-            .map(|i| Box::new(move || i * i) as Box<dyn FnOnce() -> usize + Send>)
-            .collect();
-        assert_eq!(probe_all(jobs), vec![0, 1, 4, 9, 16, 25, 36]);
-    }
-
-    #[test]
-    fn probe_pool_preserves_submission_order_and_reuses_workers() {
-        let pool = ProbePool::new(3);
-        for _ in 0..4 {
-            let jobs: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..7usize)
-                .map(|i| Box::new(move || i * i) as Box<dyn FnOnce() -> usize + Send>)
-                .collect();
-            assert_eq!(pool.run(jobs), vec![0, 1, 4, 9, 16, 25, 36]);
-        }
-    }
-
-    #[test]
-    fn probe_pool_jobs_may_borrow_caller_state() {
-        let pool = ProbePool::new(2);
-        let data: Vec<usize> = (0..100).collect();
-        let slices: Vec<&[usize]> = data.chunks(25).collect();
-        let jobs: Vec<Box<dyn FnOnce() -> usize + Send + '_>> = slices
-            .iter()
-            .map(|s| {
-                let s = *s;
-                Box::new(move || s.iter().sum::<usize>()) as Box<dyn FnOnce() -> usize + Send + '_>
-            })
-            .collect();
-        assert_eq!(pool.run(jobs).into_iter().sum::<usize>(), (0..100).sum());
     }
 
     #[test]
@@ -1171,17 +717,5 @@ mod tests {
             true
         });
         assert_eq!(base, with_stats);
-    }
-
-    #[test]
-    fn bijection_search_finds_renamings_only() {
-        let a = q("q(X) :- p(X,Y), s(Y,Z)");
-        let b = q("q(A) :- s(B,C), p(A,B)");
-        let m = find_bijection(&a.body, &a.head, &b.body, &b.head).expect("isomorphic");
-        assert_eq!(m.get(&Var::new("X")), Some(&Var::new("A")));
-        assert_eq!(m.get(&Var::new("Y")), Some(&Var::new("B")));
-        // Collapsing map is not a bijection.
-        let c = q("q(X) :- p(X,X), s(X,X)");
-        assert!(find_bijection(&a.body, &a.head, &c.body, &c.head).is_none());
     }
 }

@@ -67,9 +67,18 @@ impl CqQuery {
         self.head_vars().iter().all(|v| body.contains(v))
     }
 
-    /// The set of predicate/arity pairs used in the body.
-    pub fn predicates(&self) -> HashSet<(Predicate, usize)> {
-        self.body.iter().map(Atom::key).collect()
+    /// The distinct predicate/arity pairs used in the body, in
+    /// first-occurrence order — deterministic, so callers that try one
+    /// relation after another (the bag-semantics witness searches) pick
+    /// the same one on every call.
+    pub fn predicates(&self) -> Vec<(Predicate, usize)> {
+        let mut keys: Vec<(Predicate, usize)> = Vec::new();
+        for key in self.body.iter().map(Atom::key) {
+            if !keys.contains(&key) {
+                keys.push(key);
+            }
+        }
+        keys
     }
 
     /// Number of body atoms with the given predicate (any arity).

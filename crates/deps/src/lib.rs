@@ -16,6 +16,7 @@
 //! * dependency satisfaction, both symbolically on the canonical database
 //!   of a query and on concrete database instances.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -11,6 +11,7 @@
 //! All generators take explicit [`rand::rngs::StdRng`] seeds, so failures
 //! are reproducible.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -125,6 +125,7 @@
 //! exits its accept loop with a final `stats:`-prefixed log line on
 //! stderr.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -38,6 +38,7 @@
 //! cache attribution are bit-identical with instrumentation disabled and
 //! enabled.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
@@ -117,11 +118,11 @@ impl StepProbe {
         }
     }
 
-    /// `n` dependency scans issued against the current body snapshot.
+    /// One dependency scan against the current body.
     #[inline]
-    pub fn on_scans(&self, n: u64) {
+    pub fn on_scan(&self) {
         if let Some(i) = &self.0 {
-            i.scans.fetch_add(n, Ordering::Relaxed);
+            i.scans.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -145,14 +146,16 @@ mod tests {
         let p = StepProbe::default();
         assert!(!p.is_armed());
         p.on_step();
-        p.on_scans(7);
+        p.on_scan();
         assert_eq!((p.steps(), p.scans()), (0, 0));
 
         let p = StepProbe::armed();
         let q = p.clone();
         p.on_step();
         q.on_step();
-        q.on_scans(3);
+        q.on_scan();
+        p.on_scan();
+        q.on_scan();
         assert_eq!((p.steps(), p.scans()), (2, 3));
     }
 }

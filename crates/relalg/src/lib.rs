@@ -15,6 +15,7 @@
 //! bag-semantics operator algebra with a left-deep planner ([`ops`]). They
 //! are cross-checked against each other in the test suite.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -151,9 +151,7 @@ pub struct ChaseContext {
     /// Was the chase delta-seeded (`EngineOpts::delta_seeding`)? Delta
     /// seeding changes the firing order, so terminal queries are only
     /// Σ-equivalent — not isomorphic — to the reference engine's; cached
-    /// results therefore must not cross the flag. Parallel probes are
-    /// deliberately *not* part of the key: step sequences (and results)
-    /// are bit-identical at any probe count.
+    /// results therefore must not cross the flag.
     delta_seeding: bool,
 }
 

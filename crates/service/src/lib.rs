@@ -11,7 +11,7 @@
 //!
 //! * [`solver`] — the façade. A [`SolverBuilder`] captures default
 //!   semantics, chase budgets, engine knobs
-//!   ([`eqsql_chase::EngineOpts`]: delta seeding, parallel probes),
+//!   ([`eqsql_chase::EngineOpts`]: delta seeding),
 //!   cache sizing and worker threads; [`Solver::decide`] answers any
 //!   [`Request`] with a typed [`Verdict`] whose [`Answer`] carries
 //!   machine-checkable evidence; [`Solver::decide_all`] dispatches a
@@ -208,6 +208,7 @@
 //!   metrics at end of run, `--trace FILE` writes one event line per
 //!   request, `--progress MS` prints a periodic progress line to stderr.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -31,7 +31,7 @@
 //!
 //! A [`SolverBuilder`] captures everything that used to be passed
 //! piecemeal — default semantics, chase budgets, engine knobs
-//! ([`EngineOpts`]: delta seeding, parallel probes), cache configuration
+//! ([`EngineOpts`]: delta seeding), cache configuration
 //! and worker-thread count. A [`Request`] names the decision (with
 //! optional per-request semantics/budget overrides), and the answer is a
 //! [`Verdict`]: a typed [`Answer`] carrying the certificate the paper's
@@ -61,6 +61,7 @@ use eqsql_core::{
 };
 use eqsql_cq::{canonical_representation, containment_mapping, find_isomorphism, CqQuery, Subst};
 use eqsql_deps::implication::{conclusion_holds, premise_query};
+use eqsql_deps::satisfaction::query_satisfies_all;
 use eqsql_deps::{Dependency, DependencySet};
 use eqsql_obs::{Histogram, HistogramSummary, Phase, StepProbe, TraceCtx, TraceSink, PHASES};
 use eqsql_relalg::{canonical_database, Database, Schema, Semantics};
@@ -438,11 +439,17 @@ impl Verdict {
     /// explicitly: a verdict paired with the wrong request kind is an
     /// error, never a silent pass. Answers whose content is the *absence*
     /// of a witness (e.g. [`Answer::Minimal`]) or whose replay would
-    /// require re-running a chase (the `Reformulated`/`Implied`/
-    /// `ChasedInstance` terminals — the randomized differential suite
-    /// covers those against the legacy oracles) verify structurally only;
-    /// `NotImplied` replays its canonical-database counterexample when one
-    /// was attached.
+    /// require re-running a chase (the `Reformulated`/`ChasedInstance`
+    /// terminals — the randomized differential suite covers those against
+    /// the legacy oracles) verify structurally only; `NotImplied` replays
+    /// its canonical-database counterexample when one was attached.
+    ///
+    /// A non-vacuous `Implied` replays without a chase: the chased premise
+    /// must satisfy Σ and must satisfy the dependency's conclusion under
+    /// the recorded renaming. What stays trusted is that `chased_premise`
+    /// really is the chase of the dependency's premise, and every vacuous
+    /// `Implied` (the premise's chase failed, which only a chase can
+    /// re-establish).
     pub fn verify(
         &self,
         request: &Request,
@@ -520,8 +527,27 @@ impl Verdict {
                     None => Ok(()),
                 }
             }
+            (
+                Answer::Implied { chased_premise, renaming, vacuous },
+                Request::Implies { dep, .. },
+            ) => {
+                if *vacuous {
+                    Ok(())
+                } else if !query_satisfies_all(chased_premise, sigma) {
+                    Err(crate::evidence::CertificateError {
+                        reason: "implication evidence: the chased premise violates Σ".into(),
+                    })
+                } else if !conclusion_holds(dep, chased_premise, renaming) {
+                    Err(crate::evidence::CertificateError {
+                        reason: "implication evidence: the conclusion does not hold in the \
+                                 chased premise"
+                            .into(),
+                    })
+                } else {
+                    Ok(())
+                }
+            }
             (Answer::Reformulated { .. }, Request::Reformulate { .. })
-            | (Answer::Implied { .. }, Request::Implies { .. })
             | (Answer::ChasedInstance { .. }, Request::ChaseInstance { .. }) => Ok(()),
             _ => mismatch(),
         }
@@ -685,7 +711,7 @@ impl SolverBuilder {
         self
     }
 
-    /// Engine knobs: delta-seeded premise search, parallel probes.
+    /// Engine knobs: delta-seeded premise search.
     pub fn engine_opts(mut self, engine: EngineOpts) -> SolverBuilder {
         self.engine = engine;
         self
@@ -1875,6 +1901,40 @@ mod tests {
         let dep = parse_dependency("s(X,Z) -> p(X,Y)").unwrap();
         let v = s.decide(&Request::Implies { dep, opts: RequestOpts::default() }).unwrap();
         assert!(matches!(v.answer, Answer::NotImplied { .. }));
+    }
+
+    #[test]
+    fn implied_evidence_replays_without_a_chase() {
+        let s = solver();
+        let replay = |req: &Request, answer: Answer| {
+            Verdict { answer, stats: DecisionStats::default() }.verify(req, s.sigma(), s.schema())
+        };
+        // A tgd: the chased premise carries the conclusion's s-atom.
+        let req = Request::Implies {
+            dep: parse_dependency("p(X,Y) -> s(X,Z)").unwrap(),
+            opts: RequestOpts::default(),
+        };
+        let v = s.decide(&req).unwrap();
+        v.verify(&req, s.sigma(), s.schema()).unwrap();
+        let Answer::Implied { chased_premise, renaming, vacuous: false } = v.answer else {
+            panic!("Σ implies the tgd non-vacuously, got {:?}", v.answer);
+        };
+        let mut lost = chased_premise.clone();
+        lost.body.retain(|a| a.pred != eqsql_cq::Predicate::new("s"));
+        let forged = Answer::Implied { chased_premise: lost, renaming, vacuous: false };
+        assert!(replay(&req, forged).is_err(), "a premise without the conclusion atom replayed");
+        // An egd: the conclusion lives in the renaming, not in the body.
+        let req = Request::Implies {
+            dep: parse_dependency("s(X,Y) & s(X,Z) -> Y = Z").unwrap(),
+            opts: RequestOpts::default(),
+        };
+        let v = s.decide(&req).unwrap();
+        v.verify(&req, s.sigma(), s.schema()).unwrap();
+        let Answer::Implied { chased_premise, vacuous: false, .. } = v.answer else {
+            panic!("Σ implies its own key egd non-vacuously, got {:?}", v.answer);
+        };
+        let forged = Answer::Implied { chased_premise, renaming: Subst::new(), vacuous: false };
+        assert!(replay(&req, forged).is_err(), "an identity renaming replayed an egd");
     }
 
     #[test]

@@ -16,6 +16,7 @@
 //! * [`lower`]ing of SELECT statements to CQ / aggregate queries, and
 //!   [`render`]ing back from the IR to SQL text.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

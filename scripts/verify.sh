@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # The repo's verify path: tier-1 (build + tests) plus compile checks for
 # everything tier-1 does not reach — benches (so they cannot silently rot),
-# the examples/experiments binaries, and rustdoc with warnings denied (so
-# the Solver facade's public API stays documented).
+# the examples/experiments binaries, the end-to-end benchmark harness, and
+# rustdoc with warnings denied (so the Solver facade's public API stays
+# documented).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -23,6 +24,9 @@ cargo bench --no-run -q
 
 echo "== examples + experiments binaries compile"
 cargo build -q -p eqsql-examples -p eqsql-bench -p eqsql-net --bins
+
+echo "== benchmark harness compiles (its own package; imports library internals)"
+cargo check --offline -q --manifest-path e2e_bench/Cargo.toml
 
 echo "== eqsql-serve smoke (full verb family on the committed fixture)"
 SERVE_OUT="$(cargo run -q -p eqsql-net --bin eqsql-serve -- \

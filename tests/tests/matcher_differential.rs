@@ -1,27 +1,30 @@
-//! Differential tests: the planned, trail-based matcher
-//! ([`eqsql_cq::matcher`]) against the naive backtracking oracle
+//! Differential tests: both compiled matchers — the boxed
+//! [`eqsql_cq::MatchPlan`] and the arena [`eqsql_cq::ArenaPlan`] the chase
+//! engines search — against the naive backtracking oracle
 //! ([`eqsql_cq::matcher::reference`]).
 //!
 //! Three contracts, each over randomized conjunctions:
 //!
 //! 1. **Hom sets agree modulo order** — plan-ordered trail search
-//!    (reference-order and selectivity-optimized plans alike) enumerates
-//!    exactly the homomorphism set the naive backtracker does, seeds
-//!    included.
+//!    (reference-order and selectivity-optimized plans alike, boxed and
+//!    arena) enumerates exactly the homomorphism set the naive
+//!    backtracker does, seeds included.
 //! 2. **First match agrees exactly** — wherever the engine requires the
 //!    reference emission order (reference-order plans), the first
 //!    homomorphism is bit-identical to the oracle's, with and without
 //!    filter predicates.
-//! 3. **Delta search ≡ post-filter** — delta-constrained search emits
-//!    precisely the homomorphisms of the unconstrained set that can map
-//!    some source atom onto a delta target atom.
+//! 3. **Delta search ≡ post-filter** — the arena plan's delta-constrained
+//!    search emits precisely the homomorphisms of the unconstrained set
+//!    that can map some source atom onto a delta row.
 //!
 //! Plus the bijection search behind `find_isomorphism`: constructed
 //! renamings must be found (and verified to carry q1 onto q2), mutations
 //! must be rejected.
 
-use eqsql_cq::matcher::{bucket_atoms, reference, DeltaSlots, MatchPlan, Seed, Target};
-use eqsql_cq::{find_isomorphism, Atom, CqQuery, Subst, Term, Var};
+use eqsql_cq::matcher::{bucket_atoms, reference, MatchPlan, Seed, Target};
+use eqsql_cq::{
+    find_isomorphism, ArenaDelta, ArenaFrame, ArenaPlan, Atom, CqQuery, Subst, Term, TermArena, Var,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
@@ -87,6 +90,53 @@ fn search_all(plan: &MatchPlan, dst: &[Atom], seed: &Subst) -> Vec<Subst> {
     out
 }
 
+/// Loads `dst` into a fresh arena, rows in slot order (as the chase
+/// engine's body index appends them). Returns the arena and each target
+/// slot's `(table, row)`.
+fn load_arena(dst: &[Atom]) -> (TermArena, Vec<(u32, u32)>) {
+    let mut arena = TermArena::new();
+    let mut rows = Vec::with_capacity(dst.len());
+    for a in dst {
+        let t = arena.table_id(a.key());
+        let ids: Vec<_> = a.args.iter().map(|arg| arena.intern(*arg)).collect();
+        rows.push((t, arena.push_row(t, &ids)));
+    }
+    (arena, rows)
+}
+
+/// Searches an arena plan with `seed` planted, handing each match to
+/// `emit` as a `Subst` (the seed plus the plan's bindings — the boxed
+/// `Match::to_subst` contract).
+fn arena_search(
+    plan: &ArenaPlan,
+    arena: &mut TermArena,
+    seed: &Subst,
+    emit: &mut dyn FnMut(Subst) -> bool,
+) {
+    let mut frame = ArenaFrame::for_plan(plan);
+    for (v, t) in seed.iter() {
+        if let Some(s) = plan.slot(v) {
+            let id = arena.intern(*t);
+            frame.seed(s, id);
+        }
+    }
+    let arena = &*arena;
+    plan.search(arena, &mut frame, &mut |slots| {
+        let mut h = seed.clone();
+        plan.bind_subst(arena, slots, &mut h);
+        emit(h)
+    });
+}
+
+fn arena_search_all(plan: &ArenaPlan, arena: &mut TermArena, seed: &Subst) -> Vec<Subst> {
+    let mut out = Vec::new();
+    arena_search(plan, arena, seed, &mut |h| {
+        out.push(h);
+        true
+    });
+    out
+}
+
 #[test]
 fn hom_sets_agree_modulo_order() {
     let mut rng = StdRng::seed_from_u64(0xA11CE);
@@ -108,6 +158,20 @@ fn hom_sets_agree_modulo_order() {
         let seeded: Vec<Var> = seed.iter().map(|(v, _)| v).collect();
         let by_optimized = search_all(&MatchPlan::optimized(&src, &seeded), &dst, &seed);
         assert_eq!(hom_set(&by_optimized), oracle_set, "round {round}: optimized plan diverged");
+
+        let (mut arena, _) = load_arena(&dst);
+        let arena_plans = [
+            ("new", ArenaPlan::new(&src, &mut arena)),
+            ("optimized", ArenaPlan::optimized(&src, &seeded, &mut arena)),
+            ("optimized_with_stats", ArenaPlan::optimized_with_stats(&src, &seeded, &mut arena)),
+        ];
+        for (name, plan) in &arena_plans {
+            assert_eq!(
+                hom_set(&arena_search_all(plan, &mut arena, &seed)),
+                oracle_set,
+                "round {round}: arena {name} plan diverged"
+            );
+        }
     }
 }
 
@@ -147,6 +211,26 @@ fn first_match_is_identical_in_reference_order() {
         );
         let oracle_where = reference::find_homomorphism_where(&src, &dst, &seed, &mut |h| pred(h));
         assert_eq!(planned_where, oracle_where, "round {round}: filtered first match diverged");
+
+        // The arena plan the engine fires from, under the same contract.
+        let (mut arena, _) = load_arena(&dst);
+        let plan = ArenaPlan::new(&src, &mut arena);
+        let mut arena_first: Option<Subst> = None;
+        arena_search(&plan, &mut arena, &seed, &mut |h| {
+            arena_first = Some(h);
+            false
+        });
+        assert_eq!(arena_first, oracle, "round {round}: arena first match diverged");
+        let mut arena_where: Option<Subst> = None;
+        arena_search(&plan, &mut arena, &seed, &mut |h| {
+            if pred(&h) {
+                arena_where = Some(h);
+                false
+            } else {
+                true
+            }
+        });
+        assert_eq!(arena_where, oracle_where, "round {round}: arena filtered first match diverged");
     }
 }
 
@@ -169,15 +253,18 @@ fn delta_search_equals_post_filtering() {
         let dst = random_target(&mut rng, n_dst);
         // A random subset of target slots is the delta.
         let delta_slots: Vec<usize> = (0..dst.len()).filter(|_| rng.gen_bool(0.35)).collect();
-        let mut delta = DeltaSlots::new();
+        let (mut arena, rows) = load_arena(&dst);
+        let mut delta = ArenaDelta::new();
         for &j in &delta_slots {
-            delta.push(&dst[j], j);
+            delta.push(rows[j].0, rows[j].1);
         }
-        let buckets = bucket_atoms(&dst);
-        let plan = MatchPlan::new(&src);
+        let plan = ArenaPlan::new(&src, &mut arena);
+        let mut frame = ArenaFrame::for_plan(&plan);
         let mut constrained: HashSet<Vec<(Var, Term)>> = HashSet::new();
-        plan.search_delta(Target::new(&dst, &buckets), &delta, &Seed::Empty, &mut |m| {
-            constrained.insert(m.to_subst().sorted_pairs());
+        plan.search_delta(&arena, &delta, &mut frame, &mut |slots| {
+            let mut h = Subst::new();
+            plan.bind_subst(&arena, slots, &mut h);
+            constrained.insert(h.sorted_pairs());
             true
         });
         let (all, _) = reference::enumerate_homomorphisms(&src, &dst, &Subst::new(), 1_000_000);
