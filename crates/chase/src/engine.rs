@@ -880,6 +880,38 @@ mod tests {
         assert!(are_isomorphic(&a.query, &b.query));
     }
 
+    /// The loop scans one popped dependency at a time: an armed
+    /// `StepProbe` counts one scan per pop and one step per commit, and
+    /// arming it leaves the step sequence unchanged.
+    #[test]
+    fn step_probe_counts_one_scan_per_pop() {
+        // Pop a→b: one scan, one fire; it stays queued, so pop it again:
+        // a second scan finds b(X) present and retires it. Terminal.
+        let probe = StepProbe::armed();
+        let opts = EngineOpts { probe: probe.clone(), ..EngineOpts::default() };
+        let (a, _) = run_both_opts("q(X) :- a(X)", "a(X) -> b(X).", &ChaseConfig::default(), &opts);
+        assert_eq!(a.unwrap().steps, 1);
+        assert_eq!((probe.steps(), probe.scans()), (1, 2));
+
+        let sigma = "p(X,Y) -> s(X,Z) & t(X,V,W).\n\
+                     p(X,Y) -> t(X,Y,W).\n\
+                     s(X,Y) & s(X,Z) -> Y = Z.\n\
+                     t(X,Y,W1) & t(X,Y,W2) -> W1 = W2.";
+        let probe = StepProbe::armed();
+        let opts = EngineOpts { probe: probe.clone(), ..EngineOpts::default() };
+        let (armed, reference) =
+            run_both_opts("q4(X) :- p(X,Y)", sigma, &ChaseConfig::default(), &opts);
+        let (armed, reference) = (armed.unwrap(), reference.unwrap());
+        assert_eq!(armed.steps, reference.steps);
+        let a: Vec<usize> = armed.trace.iter().map(|t| t.dep_index).collect();
+        let b: Vec<usize> = reference.trace.iter().map(|t| t.dep_index).collect();
+        assert_eq!(a, b, "an armed probe changed the firing order");
+        assert_eq!(probe.steps(), armed.steps as u64);
+        // Every dependency is scanned at least once before the worklist
+        // drains.
+        assert!(probe.scans() >= 4, "only {} scans", probe.scans());
+    }
+
     #[test]
     fn terminal_state_is_sigma_satisfying() {
         let q = parse_query("q4(X) :- p(X,Y)").unwrap();

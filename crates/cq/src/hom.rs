@@ -78,10 +78,118 @@ pub fn is_containment_mapping(from: &CqQuery, to: &CqQuery, h: &Subst) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matcher::reference;
     use crate::parser::parse_query;
 
     fn q(s: &str) -> CqQuery {
         parse_query(s).unwrap()
+    }
+
+    /// First homomorphism from `src`'s body into `dst`'s body extending
+    /// `seed`, by the reference-order plan [`containment_mapping`] runs.
+    fn extend(src: &str, dst: &str, seed: &Subst) -> Option<Subst> {
+        let (src, dst) = (q(src).body, q(dst).body);
+        let buckets = bucket_atoms(&dst);
+        MatchPlan::new(&src).first_match(Target::new(&dst, &buckets), &Seed::Subst(seed))
+    }
+
+    fn find(src: &str, dst: &str) -> Option<Subst> {
+        extend(src, dst, &Subst::new())
+    }
+
+    /// Every match of the reference-order plan, in emission order.
+    fn all_planned(src: &str, dst: &str) -> Vec<Subst> {
+        let (src, dst) = (q(src).body, q(dst).body);
+        let buckets = bucket_atoms(&dst);
+        let mut out = Vec::new();
+        MatchPlan::new(&src).search(Target::new(&dst, &buckets), &Seed::Empty, &mut |m| {
+            out.push(m.to_subst());
+            true
+        });
+        out
+    }
+
+    /// The reference chase driver's enumeration, capped at `cap`.
+    fn enumerate(src: &str, dst: &str, cap: usize) -> (Vec<Subst>, bool) {
+        reference::enumerate_homomorphisms(&q(src).body, &q(dst).body, &Subst::new(), cap)
+    }
+
+    #[test]
+    fn identity_homomorphism_exists() {
+        assert!(find("q(X) :- p(X,Y), s(Y,Z)", "q(X) :- p(X,Y), s(Y,Z)").is_some());
+    }
+
+    #[test]
+    fn homomorphism_can_collapse_variables() {
+        let h = find("q(X) :- p(X,Y), p(Y,X)", "q(X) :- p(X,X)").unwrap();
+        assert_eq!(h.apply_term(&Term::var("Y")), h.apply_term(&Term::var("X")));
+    }
+
+    #[test]
+    fn no_homomorphism_on_missing_predicate() {
+        assert!(find("q(X) :- p(X,Y), r(Y)", "q(X) :- p(X,Y)").is_none());
+    }
+
+    #[test]
+    fn constants_must_match() {
+        assert!(find("q(X) :- p(X, 3)", "q(X) :- p(X, 3)").is_some());
+        assert!(find("q(X) :- p(X, 3)", "q(X) :- p(X, 4)").is_none());
+    }
+
+    #[test]
+    fn all_homomorphisms_counts_targets() {
+        let (src, dst) = ("q() :- p(X)", "q() :- p(A), p(B), p(C)");
+        assert_eq!(all_planned(src, dst).len(), 3);
+        assert_eq!(enumerate(src, dst, MAX_HOMOMORPHISMS).0.len(), 3);
+    }
+
+    #[test]
+    fn all_homomorphisms_dedups_bindings() {
+        // Duplicate target atoms yield the same variable mapping; the
+        // reference driver's enumeration keeps it once.
+        let (homs, _) = enumerate("q() :- p(X)", "q() :- p(A), p(A)", MAX_HOMOMORPHISMS);
+        assert_eq!(homs.len(), 1);
+    }
+
+    #[test]
+    fn enumeration_reports_truncation() {
+        // Two independent atoms with two candidates each: 4 homomorphisms.
+        // A cap of 4 is complete and unflagged; a cap of 3 flags the cut.
+        let (src, dst) = ("q() :- p0(X0), p1(X1)", "q() :- p0(0), p0(1), p1(0), p1(1)");
+        let (all, truncated) = enumerate(src, dst, 4);
+        assert!(!truncated);
+        assert_eq!(all, all_planned(src, dst), "emission order diverged from the plan");
+        let (cut, truncated) = enumerate(src, dst, 3);
+        assert!(truncated);
+        assert_eq!(cut, all[..3]);
+    }
+
+    #[test]
+    fn seeded_extension() {
+        let seed = Subst::from_pairs([(crate::term::Var::new("X"), Term::int(3))]);
+        let h = extend("q() :- p(X,Y)", "q() :- p(1,2), p(3,4)", &seed).unwrap();
+        assert_eq!(h.apply_term(&Term::var("Y")), Term::int(4));
+    }
+
+    #[test]
+    fn containment_mapping_is_the_reference_first_match() {
+        // The module doc's promise: the plan keeps the source atom order,
+        // so the mapping returned is the naive backtracker's first one
+        // from the same head seed.
+        let pairs = [
+            ("q(X) :- p(X,Y), p(Y,Z), r(Z)", "q(1) :- p(1,2), p(2,3), p(2,2), r(3), r(2)"),
+            ("q(X) :- p(X,Y), p(Y,X)", "q(A) :- p(A,B), p(B,A), p(A,A)"),
+            ("q(X,Y) :- p(X,Z), p(Z,Y)", "q(A,B) :- p(A,C), p(C,B), p(A,A), p(A,B)"),
+        ];
+        for (from, to) in pairs {
+            let (from, to) = (q(from), q(to));
+            let seed = Subst::from_pairs(
+                from.head.iter().zip(&to.head).filter_map(|(f, t)| Some((f.as_var()?, *t))),
+            );
+            let naive = reference::extend_homomorphism(&from.body, &to.body, &seed);
+            assert!(naive.is_some(), "{to} ⊑ {from} should hold");
+            assert_eq!(containment_mapping(&from, &to), naive, "{from} into {to}");
+        }
     }
 
     #[test]

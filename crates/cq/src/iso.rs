@@ -292,6 +292,23 @@ mod tests {
     }
 
     #[test]
+    fn bijection_search_walks_the_body_in_order() {
+        // Both bodies have a non-trivial automorphism, so two bijections
+        // exist; the search pairs q1's atoms, in body order, with the first
+        // fitting target atom and returns X→A, Y→B, not X→B, Y→A.
+        let c = q("q() :- e(X,Y), e(Y,X), f(X), f(Y)");
+        let b = q("q() :- e(A,B), e(B,A), f(A), f(B)");
+        let m = find_isomorphism(&c, &b).expect("isomorphic");
+        assert_eq!(m.get(&Var::new("X")), Some(&Var::new("A")));
+        assert_eq!(m.get(&Var::new("Y")), Some(&Var::new("B")));
+        // Reordering the target's atoms moves the first fit.
+        let b_swapped = q("q() :- e(B,A), e(A,B), f(A), f(B)");
+        let m = find_isomorphism(&c, &b_swapped).expect("isomorphic");
+        assert_eq!(m.get(&Var::new("X")), Some(&Var::new("B")));
+        assert_eq!(m.get(&Var::new("Y")), Some(&Var::new("A")));
+    }
+
+    #[test]
     fn isomorphism_witness_replays() {
         let a = q("q(X) :- p(X,Y), s(Y,Z)");
         let b = q("q(A) :- s(B,C), p(A,B)");

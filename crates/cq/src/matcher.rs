@@ -718,4 +718,37 @@ mod tests {
         });
         assert_eq!(base, with_stats);
     }
+
+    #[test]
+    fn boxed_and_arena_plans_share_one_planner() {
+        // `MatchPlan` and `ArenaPlan` order their steps with the same
+        // `greedy_order`: given the same bound variables and target they
+        // scan the same atoms in the same order, with or without
+        // cardinalities.
+        use crate::arena::{ArenaPlan, TermArena};
+        let src = q("q() :- a(X,Y), b(Y,3), c(Z), d(Z,W), e(W,X)").body;
+        let dst = q("q() :- a(1,2), b(2,3), c(5), c(6), c(7), d(5,1), d(6,1), e(1,1)").body;
+        let buckets = bucket_atoms(&dst);
+        let card = |k: &(Predicate, usize)| buckets.get(k).map_or(0, |b| b.len());
+        let mut arena = TermArena::new();
+        for atom in &dst {
+            let t = arena.table_id(atom.key());
+            let ids: Vec<_> = atom.args.iter().map(|a| arena.intern(*a)).collect();
+            arena.push_row(t, &ids);
+        }
+        let boxed_order = |p: &MatchPlan| p.steps.iter().map(|s| s.key).collect::<Vec<_>>();
+        let arena_order = |p: &ArenaPlan, arena: &TermArena| {
+            (0..p.len()).map(|i| arena.table(p.step_table(i)).key()).collect::<Vec<_>>()
+        };
+        let written: Vec<_> = src.iter().map(Atom::key).collect();
+        for bound in [vec![], vec![Var::new("Z")], vec![Var::new("W"), Var::new("X")]] {
+            let boxed = boxed_order(&MatchPlan::optimized(&src, &bound));
+            let plan = ArenaPlan::optimized(&src, &bound, &mut arena);
+            assert_eq!(boxed, arena_order(&plan, &arena), "static order, bound {bound:?}");
+            assert_ne!(boxed, written, "the planner reorders this body");
+            let boxed = boxed_order(&MatchPlan::optimized_with_stats(&src, &bound, &card));
+            let plan = ArenaPlan::optimized_with_stats(&src, &bound, &mut arena);
+            assert_eq!(boxed, arena_order(&plan, &arena), "stats order, bound {bound:?}");
+        }
+    }
 }

@@ -264,4 +264,15 @@ mod tests {
         assert_eq!(q.count_pred(Predicate::new("p")), 2);
         assert_eq!(q.count_pred(Predicate::new("s")), 1);
     }
+
+    #[test]
+    fn predicates_follow_first_occurrence_body_order() {
+        let q =
+            crate::parser::parse_query("q(X) :- d(X), b(X,Y), d(Y), a(X), b(Y,X), b(X)").unwrap();
+        let key = |name: &str, arity: usize| (Predicate::new(name), arity);
+        let expected = vec![key("d", 1), key("b", 2), key("a", 1), key("b", 1)];
+        for _ in 0..8 {
+            assert_eq!(q.predicates(), expected);
+        }
+    }
 }
