@@ -178,7 +178,7 @@ pub struct ChaseCache {
     /// Rendered Σ → (regularized Σ, its rendered text), so repeated
     /// chases over one Σ regularize and render it once. Keyed exactly (by
     /// text) and bounded by [`SIGMA_MEMO_CAP`].
-    sigma_memo: Mutex<HashMap<String, (Arc<DependencySet>, Arc<str>)>>,
+    regularize_memo: Mutex<HashMap<String, (Arc<DependencySet>, Arc<str>)>>,
     /// The disk tier, when [`CacheConfig::persist`] is set. Memory misses
     /// fall through to it; fresh terminal results are appended to it.
     persist: Option<PersistTier>,
@@ -224,7 +224,7 @@ impl ChaseCache {
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             next_id: AtomicU64::new(0),
-            sigma_memo: Mutex::new(HashMap::new()),
+            regularize_memo: Mutex::new(HashMap::new()),
             persist,
         }
     }
@@ -260,7 +260,7 @@ impl ChaseCache {
         sigma: &DependencySet,
     ) -> (Arc<DependencySet>, Arc<str>) {
         let text = sigma.to_string();
-        let mut memo = lock_recovering(&self.sigma_memo);
+        let mut memo = lock_recovering(&self.regularize_memo);
         if memo.len() >= SIGMA_MEMO_CAP && !memo.contains_key(&text) {
             memo.clear();
         }

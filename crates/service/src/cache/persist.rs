@@ -22,16 +22,66 @@
 //! ```
 //!
 //! A record body serializes the full cache entry **by structure, never by
-//! hash**: the context key material (semantics, budgets, engine mode,
-//! sorted set-valued relation names, the regularized Σ as tgd/egd trees),
-//! the representative query, and the outcome — a terminal chase (terminal
-//! query, failure flag, step count, accumulated renaming) or a cacheable
-//! [`ChaseError`] via its stable wire code. Symbols are stored as name
-//! strings and re-interned on decode (interner ids are process-local);
-//! substitutions are stored in sorted order, so encoding is
-//! byte-deterministic and fixtures are reproducible. Fingerprints are
-//! **recomputed** from the decoded material on load — a stored hash could
-//! silently diverge from the live hashing recipe, a recomputed one cannot.
+//! hash**, in two parts:
+//!
+//! ```text
+//! body    := context entry
+//! context := semantics delta_flag max_steps max_atoms set_valued_names sigma
+//! entry   := representative_query outcome
+//! ```
+//!
+//! The context part is the key material (semantics, engine mode, budgets,
+//! sorted set-valued relation names, the regularized Σ as tgd/egd trees);
+//! the entry part is the representative query and the outcome — a
+//! terminal chase (terminal query, failure flag, step count, accumulated
+//! renaming) or a cacheable [`ChaseError`] via its stable wire code.
+//! Symbols are stored as name strings and re-interned on decode (interner
+//! ids are process-local); substitutions are stored in sorted order, so
+//! encoding is byte-deterministic and fixtures are reproducible.
+//! Fingerprints are **recomputed** from the decoded material on load — a
+//! stored hash could silently diverge from the live hashing recipe, a
+//! recomputed one cannot.
+//!
+//! ## One decode per context
+//!
+//! Every record repeats its context, and decoding one — Σ's trees, its
+//! rendering, its fingerprint — costs far more than the entry part. The
+//! tier therefore keeps a **context table**: each distinct context is
+//! decoded once, when recovery first meets it or when a live append
+//! brings it, and is stored with its exact encoded bytes. Recovery skips
+//! the context decode of any record whose body starts with the bytes of a
+//! context already in the table (the encoding is self-delimiting, so a
+//! byte-equal prefix *is* that context). Each index location records its
+//! context's table id and the body offset where its entry part starts, so
+//! a hit never decodes a context. The table lives as long as the tier and
+//! holds at most one context per indexed record; a store written by one
+//! solver holds one per semantics and budget it was asked under.
+//!
+//! ## Serving a hit
+//!
+//! The tier's one mutex guards the index, the context table, the file
+//! handles and the append bookkeeping. Appends and compaction hold it
+//! throughout; a lookup holds it only to find the key, drop candidates
+//! whose table context is not [`ChaseContext::same`] as the probe's, and
+//! read the remaining frames. Everything after runs outside the lock, so
+//! concurrent disk hits overlap, and a compaction may swap the index and
+//! truncate the log meanwhile without touching frames already read.
+//! Before a frame is served, the hit re-verifies it, since the file may
+//! have been altered after it was validated:
+//!
+//! 1. its length field still matches and its body still begins with the
+//!    exact bytes of the context the index filtered on (**context
+//!    equality**, byte for byte);
+//! 2. its **checksum** still matches — continued from the context's own
+//!    checksum, so only the entry part is hashed;
+//! 3. its **entry part decodes** (representative and outcome);
+//! 4. [`find_isomorphism`] maps the probe onto the representative.
+//!
+//! A frame failing 1–3 is a corruption event: the probe misses, the
+//! `discarded` counter ([`PersistStats`]) counts it, and the location is
+//! dropped from the index. Compaction re-verifies 1–2 on every frame and
+//! copies frames verbatim, so an altered frame is dropped there too,
+//! never re-checksummed into a snapshot.
 //!
 //! ## Recovery guarantees
 //!
@@ -99,16 +149,18 @@ const SNAPSHOT_FILE: &str = "snapshot.eqc";
 /// holds the owning pid, removed on [`PersistTier`] drop.
 const LOCK_FILE: &str = "writer.lock";
 
-/// Distinct decoded Σs kept shared before the decode memo is reset
-/// (mirrors the in-memory cache's Σ memo bound).
-const SIGMA_MEMO_CAP: usize = 256;
-
 /// FNV-1a over `bytes` — the per-record checksum. Not cryptographic: it
 /// guards against torn writes and bit rot, while decode-level validation
 /// and the cache's exact-match confirm path guard against everything else.
 pub fn checksum(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in bytes {
+    checksum_from(0xCBF2_9CE4_8422_2325, bytes)
+}
+
+/// Continues [`checksum`] across `rest` from `prefix`, the checksum of
+/// the bytes before it: `checksum_from(checksum(a), b) == checksum(a ++ b)`.
+fn checksum_from(prefix: u64, rest: &[u8]) -> u64 {
+    let mut h = prefix;
+    for &b in rest {
         h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
     }
     h
@@ -161,9 +213,10 @@ pub struct PersistStats {
     /// Records admitted by replaying the log tail at startup.
     pub recovered: u64,
     /// Corruption events survived: invalid tails truncated or whole files
-    /// with unreadable headers skipped (one count per event — everything
-    /// past the first invalid byte is untrusted by design, so individual
-    /// lost records are uncountable).
+    /// with unreadable headers skipped at startup (one count per event —
+    /// everything past the first invalid byte is untrusted by design, so
+    /// individual lost records are uncountable), and indexed frames found
+    /// altered since by a disk hit or a compaction (one count per frame).
     pub discarded: u64,
     /// Snapshot compactions performed.
     pub snapshots: u64,
@@ -336,6 +389,47 @@ impl Enc {
             }
         }
     }
+
+    /// The context part of a body: the key material besides the query.
+    fn context(&mut self, ctx: &ChaseContext, sigma: &DependencySet) {
+        self.u8(sem_tag(ctx.sem()));
+        self.u8(ctx.delta_seeding() as u8);
+        self.u64v(ctx.max_steps() as u64);
+        self.u64v(ctx.max_atoms() as u64);
+        self.u32v(ctx.set_valued().len() as u32);
+        for name in ctx.set_valued() {
+            self.str(name);
+        }
+        self.u32v(sigma.as_slice().len() as u32);
+        for d in sigma.iter() {
+            self.dependency(d);
+        }
+    }
+
+    /// The entry part of a body: the representative query and its outcome.
+    fn entry(&mut self, representative: &CqQuery, outcome: &Result<PersistedChase, ChaseError>) {
+        self.query(representative);
+        match outcome {
+            Ok(chase) => {
+                self.u8(0);
+                self.query(&chase.query);
+                self.u8(chase.failed as u8);
+                self.u64v(chase.steps as u64);
+                let pairs = chase.renaming.sorted_pairs();
+                self.u32v(pairs.len() as u32);
+                for (v, t) in pairs {
+                    self.str(v.name());
+                    self.term(&t);
+                }
+            }
+            Err(err) => {
+                let (code, magnitude) =
+                    err.wire().expect("only cacheable outcomes may be persisted");
+                self.u8(code);
+                self.u64v(magnitude);
+            }
+        }
+    }
 }
 
 struct Dec<'a> {
@@ -369,18 +463,20 @@ impl<'a> Dec<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    fn str(&mut self) -> Result<String, DecodeError> {
+    /// A string borrowed from the body: names are interned straight from
+    /// it, never copied first.
+    fn str(&mut self) -> Result<&'a str, DecodeError> {
         let n = self.u32v()? as usize;
         let bytes = self.take(n)?;
         match std::str::from_utf8(bytes) {
-            Ok(s) => Ok(s.to_string()),
+            Ok(s) => Ok(s),
             Err(_) => self.fail("invalid utf-8"),
         }
     }
 
     fn term(&mut self) -> Result<Term, DecodeError> {
         match self.u8()? {
-            TERM_VAR => Ok(Term::Var(Var::new(&self.str()?))),
+            TERM_VAR => Ok(Term::Var(Var::new(self.str()?))),
             TERM_INT => Ok(Term::Const(Value::Int(self.u64v()? as i64))),
             TERM_REAL => {
                 let bits = self.u64v()?;
@@ -390,7 +486,7 @@ impl<'a> Dec<'a> {
                 }
                 Ok(Term::Const(Value::Real(R64::new(f))))
             }
-            TERM_STR => Ok(Term::Const(Value::str(&self.str()?))),
+            TERM_STR => Ok(Term::Const(Value::str(self.str()?))),
             TERM_LABELED => Ok(Term::Const(Value::Labeled(self.u64v()?))),
             _ => self.fail("unknown term tag"),
         }
@@ -411,7 +507,7 @@ impl<'a> Dec<'a> {
             return self.fail("empty predicate name");
         }
         let args = self.terms()?;
-        Ok(Atom::new(&pred, args))
+        Ok(Atom::new(pred, args))
     }
 
     fn atoms(&mut self) -> Result<Vec<Atom>, DecodeError> {
@@ -430,7 +526,7 @@ impl<'a> Dec<'a> {
         }
         let head = self.terms()?;
         let body = self.atoms()?;
-        Ok(CqQuery::new(&name, head, body))
+        Ok(CqQuery::new(name, head, body))
     }
 
     fn dependency(&mut self) -> Result<Dependency, DecodeError> {
@@ -456,7 +552,95 @@ impl<'a> Dec<'a> {
         }
         Ok(())
     }
+
+    /// Decodes a context part, rebuilding the context key with the live
+    /// fingerprint recipe — the expensive half of a record: Σ's trees,
+    /// their rendering, and the hash over it.
+    fn context(&mut self) -> Result<(ChaseContext, Arc<DependencySet>), DecodeError> {
+        let sem = match sem_from_tag(self.u8()?) {
+            Some(s) => s,
+            None => return self.fail("unknown semantics tag"),
+        };
+        let delta_seeding = match self.u8()? {
+            0 => false,
+            1 => true,
+            _ => return self.fail("invalid delta flag"),
+        };
+        let max_steps = self.u64v()? as usize;
+        let max_atoms = self.u64v()? as usize;
+        let n = self.u32v()? as usize;
+        let mut set_valued: Vec<String> = Vec::new();
+        for _ in 0..n {
+            let name = self.str()?.to_string();
+            if name.is_empty() {
+                return self.fail("empty relation name");
+            }
+            if let Some(prev) = set_valued.last() {
+                if *prev >= name {
+                    // Live contexts sort this list; an unsorted one could
+                    // never match a probe and marks the record as
+                    // forged/corrupt.
+                    return self.fail("set-valued names not sorted");
+                }
+            }
+            set_valued.push(name);
+        }
+        let n = self.u32v()? as usize;
+        let mut deps = Vec::new();
+        for _ in 0..n {
+            deps.push(self.dependency()?);
+        }
+        let sigma = Arc::new(DependencySet::from_vec(deps));
+        let ctx = ChaseContext::from_parts(
+            sem,
+            sigma.to_string().into(),
+            set_valued.into(),
+            max_steps,
+            max_atoms,
+            delta_seeding,
+        );
+        Ok((ctx, sigma))
+    }
+
+    /// Decodes an entry part, which must run to the end of the body.
+    fn entry(&mut self) -> Result<DecodedEntry, DecodeError> {
+        let representative = self.query()?;
+        let outcome = match self.u8()? {
+            0 => {
+                let query = self.query()?;
+                let failed = match self.u8()? {
+                    0 => false,
+                    1 => true,
+                    _ => return self.fail("invalid failure flag"),
+                };
+                let steps = self.u64v()? as usize;
+                let n = self.u32v()? as usize;
+                let mut pairs = Vec::new();
+                for _ in 0..n {
+                    let name = self.str()?;
+                    if name.is_empty() {
+                        return self.fail("empty variable name");
+                    }
+                    let term = self.term()?;
+                    pairs.push((Var::new(name), term));
+                }
+                Ok(PersistedChase { query, failed, steps, renaming: Subst::from_pairs(pairs) })
+            }
+            code => {
+                let magnitude = self.u64v()?;
+                match ChaseError::from_wire(code, magnitude) {
+                    Some(err) => Err(err),
+                    None => return self.fail("unknown outcome tag"),
+                }
+            }
+        };
+        self.finish()?;
+        Ok((representative, outcome))
+    }
 }
+
+/// A decoded entry part: the representative query and its outcome.
+type DecodedEntry = (CqQuery, Result<PersistedChase, ChaseError>);
 
 /// Serializes `record` to a body (unframed — see [`frame_record`]).
 ///
@@ -477,39 +661,8 @@ pub fn encode_record(record: &PersistRecord) -> Vec<u8> {
         "PersistRecord: ctx.sigma_text must render record.sigma"
     );
     let mut e = Enc { buf: Vec::new() };
-    let ctx = &record.ctx;
-    e.u8(sem_tag(ctx.sem()));
-    e.u8(ctx.delta_seeding() as u8);
-    e.u64v(ctx.max_steps() as u64);
-    e.u64v(ctx.max_atoms() as u64);
-    e.u32v(ctx.set_valued().len() as u32);
-    for name in ctx.set_valued() {
-        e.str(name);
-    }
-    e.u32v(record.sigma.as_slice().len() as u32);
-    for d in record.sigma.iter() {
-        e.dependency(d);
-    }
-    e.query(&record.representative);
-    match &record.outcome {
-        Ok(chase) => {
-            e.u8(0);
-            e.query(&chase.query);
-            e.u8(chase.failed as u8);
-            e.u64v(chase.steps as u64);
-            let pairs = chase.renaming.sorted_pairs();
-            e.u32v(pairs.len() as u32);
-            for (v, t) in pairs {
-                e.str(v.name());
-                e.term(&t);
-            }
-        }
-        Err(err) => {
-            let (code, magnitude) = err.wire().expect("only cacheable outcomes may be persisted");
-            e.u8(code);
-            e.u64v(magnitude);
-        }
-    }
+    e.context(&record.ctx, &record.sigma);
+    e.entry(&record.representative, &record.outcome);
     e.buf
 }
 
@@ -519,78 +672,8 @@ pub fn encode_record(record: &PersistRecord) -> Vec<u8> {
 /// recomputed from the decoded material, never read from disk.
 pub fn decode_record(body: &[u8]) -> Result<PersistRecord, DecodeError> {
     let mut d = Dec { buf: body, pos: 0 };
-    let sem = match sem_from_tag(d.u8()?) {
-        Some(s) => s,
-        None => return d.fail("unknown semantics tag"),
-    };
-    let delta_seeding = match d.u8()? {
-        0 => false,
-        1 => true,
-        _ => return d.fail("invalid delta flag"),
-    };
-    let max_steps = d.u64v()? as usize;
-    let max_atoms = d.u64v()? as usize;
-    let n = d.u32v()? as usize;
-    let mut set_valued: Vec<String> = Vec::new();
-    for _ in 0..n {
-        let name = d.str()?;
-        if name.is_empty() {
-            return d.fail("empty relation name");
-        }
-        if let Some(prev) = set_valued.last() {
-            if *prev >= name {
-                // Live contexts sort this list; an unsorted one could never
-                // match a probe and marks the record as forged/corrupt.
-                return d.fail("set-valued names not sorted");
-            }
-        }
-        set_valued.push(name);
-    }
-    let n = d.u32v()? as usize;
-    let mut deps = Vec::new();
-    for _ in 0..n {
-        deps.push(d.dependency()?);
-    }
-    let sigma = Arc::new(DependencySet::from_vec(deps));
-    let representative = d.query()?;
-    let outcome = match d.u8()? {
-        0 => {
-            let query = d.query()?;
-            let failed = match d.u8()? {
-                0 => false,
-                1 => true,
-                _ => return d.fail("invalid failure flag"),
-            };
-            let steps = d.u64v()? as usize;
-            let n = d.u32v()? as usize;
-            let mut pairs = Vec::new();
-            for _ in 0..n {
-                let name = d.str()?;
-                if name.is_empty() {
-                    return d.fail("empty variable name");
-                }
-                let term = d.term()?;
-                pairs.push((Var::new(&name), term));
-            }
-            Ok(PersistedChase { query, failed, steps, renaming: Subst::from_pairs(pairs) })
-        }
-        code => {
-            let magnitude = d.u64v()?;
-            match ChaseError::from_wire(code, magnitude) {
-                Some(err) => Err(err),
-                None => return d.fail("unknown outcome tag"),
-            }
-        }
-    };
-    d.finish()?;
-    let ctx = ChaseContext::from_parts(
-        sem,
-        sigma.to_string().into(),
-        set_valued.into(),
-        max_steps,
-        max_atoms,
-        delta_seeding,
-    );
+    let (ctx, sigma) = d.context()?;
+    let (representative, outcome) = d.entry()?;
     Ok(PersistRecord { ctx, sigma, representative, outcome })
 }
 
@@ -611,13 +694,52 @@ pub fn file_header(magic: &[u8; 8]) -> Vec<u8> {
     out
 }
 
-/// The cache key a decoded record indexes under — recomputed from the
-/// decoded material with the live hashing recipe.
-pub fn record_key(record: &PersistRecord) -> u64 {
-    cache_key(query_fingerprint(&record.representative), record.ctx.fingerprint())
+/// One distinct chase context of a tier, decoded once (see the module
+/// docs): the exact bytes of its context part and what they decode to.
+struct TierContext {
+    /// The encoded context part, as it prefixes every body that uses it.
+    bytes: Box<[u8]>,
+    /// [`checksum`] of `bytes`: a body starting with them is checksummed
+    /// from here, hashing its entry part only.
+    sum: u64,
+    ctx: ChaseContext,
+    /// The decoded regularized Σ, shared by every entry served from disk
+    /// under this context, as live entries share theirs.
+    sigma: Arc<DependencySet>,
 }
 
-/// Where an indexed record lives on disk.
+/// The tier's distinct contexts; [`Loc::ctx`] indexes `entries`.
+#[derive(Default)]
+struct ContextTable {
+    entries: Vec<Arc<TierContext>>,
+}
+
+impl TierContext {
+    /// [`checksum`] of a body that starts with this context's bytes.
+    fn body_checksum(&self, body: &[u8]) -> u64 {
+        checksum_from(self.sum, &body[self.bytes.len()..])
+    }
+}
+
+impl ContextTable {
+    /// The id of the known context whose encoded bytes prefix `body` (the
+    /// encoding is self-delimiting, so that is `body`'s own context).
+    fn find(&self, body: &[u8]) -> Option<usize> {
+        self.entries.iter().position(|c| body.starts_with(&c.bytes))
+    }
+
+    /// Decodes `body`'s context part into a new table entry.
+    fn add(&mut self, body: &[u8]) -> Result<usize, DecodeError> {
+        let mut d = Dec { buf: body, pos: 0 };
+        let (ctx, sigma) = d.context()?;
+        let bytes: Box<[u8]> = body[..d.pos].into();
+        let sum = checksum(&bytes);
+        self.entries.push(Arc::new(TierContext { bytes, sum, ctx, sigma }));
+        Ok(self.entries.len() - 1)
+    }
+}
+
+/// Where an indexed record lives on disk, and under which context.
 #[derive(Clone, Copy, Debug)]
 struct Loc {
     /// In the snapshot (`true`) or the log (`false`).
@@ -626,6 +748,33 @@ struct Loc {
     off: u64,
     /// Body length (frame length minus [`FRAME_HEADER_LEN`]).
     len: u32,
+    /// The record's context in [`TierState::contexts`].
+    ctx: u32,
+    /// Body offset where the entry part starts (the context part's length).
+    entry_off: u32,
+}
+
+/// Reads the whole frame (header and body) at `loc` from `file`.
+fn read_frame(file: &mut Option<File>, loc: Loc) -> io::Result<Vec<u8>> {
+    let file = file.as_mut().ok_or_else(|| io::Error::from(io::ErrorKind::NotFound))?;
+    file.seek(SeekFrom::Start(loc.off))?;
+    let mut frame = vec![0u8; FRAME_HEADER_LEN + loc.len as usize];
+    file.read_exact(&mut frame)?;
+    Ok(frame)
+}
+
+/// Does `frame`, read at `loc`, still hold what was validated when it was
+/// indexed: its length, `context`'s exact bytes, and its checksum?
+fn frame_intact(frame: &[u8], loc: Loc, context: &TierContext) -> bool {
+    let (header, body) = frame.split_at(FRAME_HEADER_LEN);
+    header[..4] == loc.len.to_le_bytes()
+        && body.get(..loc.entry_off as usize) == Some(&context.bytes[..])
+        && header[4..] == context.body_checksum(body).to_le_bytes()
+}
+
+/// Decodes the entry part of `body`, which starts at `entry_off`.
+fn decode_entry(body: &[u8], entry_off: u32) -> Result<DecodedEntry, DecodeError> {
+    Dec { buf: body, pos: entry_off as usize }.entry()
 }
 
 struct ScanOutcome {
@@ -644,9 +793,16 @@ struct ScanOutcome {
 
 /// Validates `bytes` as a record file: checks the header, then walks
 /// records validating length bounds, checksum and a full structural
-/// decode, stopping at the first invalid byte. Never fails — corruption is
-/// an expected input here.
-fn scan_file(bytes: &[u8], magic: &[u8; 8], snap: bool) -> ScanOutcome {
+/// decode, stopping at the first invalid byte. A context part byte-equal
+/// to one in `contexts` was validated when it entered the table: it is
+/// neither decoded nor hashed again. A new one is decoded and added.
+/// Never fails — corruption is an expected input here.
+fn scan_file(
+    bytes: &[u8],
+    magic: &[u8; 8],
+    snap: bool,
+    contexts: &mut ContextTable,
+) -> ScanOutcome {
     let header_ok = bytes.len() >= FILE_HEADER_LEN
         && bytes[..8] == *magic
         && bytes[8..FILE_HEADER_LEN] == FORMAT_VERSION.to_le_bytes();
@@ -674,15 +830,28 @@ fn scan_file(bytes: &[u8], magic: &[u8; 8], snap: bool) -> ScanOutcome {
             break;
         }
         let body = &bytes[pos + FRAME_HEADER_LEN..pos + FRAME_HEADER_LEN + len];
-        if checksum(body) != sum {
+        let known = contexts.find(body);
+        let actual = match known {
+            Some(id) => contexts.entries[id].body_checksum(body),
+            None => checksum(body),
+        };
+        if actual != sum {
             corrupt = true;
             break;
         }
-        let Ok(record) = decode_record(body) else {
+        let Ok(id) = known.map_or_else(|| contexts.add(body), Ok) else {
             corrupt = true;
             break;
         };
-        locs.push((record_key(&record), Loc { snap, off: pos as u64, len: len as u32 }));
+        let context = &contexts.entries[id];
+        let entry_off = context.bytes.len() as u32;
+        let Ok((representative, _)) = decode_entry(body, entry_off) else {
+            corrupt = true;
+            break;
+        };
+        let key = cache_key(query_fingerprint(&representative), context.ctx.fingerprint());
+        let loc = Loc { snap, off: pos as u64, len: len as u32, ctx: id as u32, entry_off };
+        locs.push((key, loc));
         pos += FRAME_HEADER_LEN + len;
     }
     ScanOutcome { records: locs.len() as u64, locs, valid_end: pos as u64, header_ok, corrupt }
@@ -703,6 +872,11 @@ struct TierState {
     log: Option<File>,
     snap: Option<File>,
     index: HashMap<u64, Vec<Loc>>,
+    /// Every context the index refers to, each decoded once.
+    contexts: ContextTable,
+    /// Bumped whenever compaction replaces `index`: a location read under
+    /// an older generation may name a different frame now.
+    generation: u64,
     /// Valid length of the log file (next append offset).
     log_len: u64,
     appends_since_snapshot: usize,
@@ -713,17 +887,18 @@ struct TierState {
     /// writes (the log tail past a failed write cannot be trusted), while
     /// reads and the memory tier continue unharmed.
     broken: bool,
-    /// Rendered Σ → decoded Σ, so entries decoded from one store share one
-    /// `Arc<DependencySet>` like live entries do.
-    sigma_memo: HashMap<String, Arc<DependencySet>>,
 }
 
 /// The disk tier of [`super::ChaseCache`]: an in-memory key → location
-/// index over the two record files, consulted on memory-tier misses.
-/// Entries are decoded lazily on first probe and promoted into the memory
-/// tier (without re-appending). All file I/O happens under one mutex —
-/// the tier sits behind the sharded memory tier, so it only sees the
-/// (rare) memory-miss traffic.
+/// index over the two record files plus the table of their distinct,
+/// already-decoded contexts, consulted on memory-tier misses. A disk hit
+/// decodes the entry part only and is promoted into the memory tier
+/// (without re-appending).
+///
+/// One mutex guards the index, the context table and the file handles:
+/// appends and compaction hold it throughout, while [`PersistTier::lookup`]
+/// holds it only to select and read frames and re-verifies and decodes
+/// them after releasing it (see the module docs).
 pub(crate) struct PersistTier {
     read_only: bool,
     snapshot_every: usize,
@@ -774,12 +949,13 @@ impl PersistTier {
                 log: None,
                 snap: None,
                 index: HashMap::new(),
+                contexts: ContextTable::default(),
+                generation: 0,
                 log_len: 0,
                 appends_since_snapshot: 0,
                 appends_seen: 0,
                 fault: None,
                 broken: false,
-                sigma_memo: HashMap::new(),
             }),
             loaded: AtomicU64::new(0),
             recovered: AtomicU64::new(0),
@@ -826,7 +1002,7 @@ impl PersistTier {
             let mut file = File::open(&tier.snapshot_path)?;
             let mut bytes = Vec::new();
             file.read_to_end(&mut bytes)?;
-            let scan = scan_file(&bytes, &SNAPSHOT_MAGIC, true);
+            let scan = scan_file(&bytes, &SNAPSHOT_MAGIC, true, &mut state.contexts);
             for (key, loc) in scan.locs {
                 state.index.entry(key).or_default().push(loc);
             }
@@ -844,7 +1020,7 @@ impl PersistTier {
                 let mut file = File::open(&log_path)?;
                 let mut bytes = Vec::new();
                 file.read_to_end(&mut bytes)?;
-                let scan = scan_file(&bytes, &LOG_MAGIC, false);
+                let scan = scan_file(&bytes, &LOG_MAGIC, false, &mut state.contexts);
                 for (key, loc) in scan.locs {
                     state.index.entry(key).or_default().push(loc);
                 }
@@ -864,7 +1040,7 @@ impl PersistTier {
                 Self::write_at(&mut file, 0, &file_header(&LOG_MAGIC))?;
                 state.log_len = FILE_HEADER_LEN as u64;
             } else {
-                let scan = scan_file(&bytes, &LOG_MAGIC, false);
+                let scan = scan_file(&bytes, &LOG_MAGIC, false, &mut state.contexts);
                 if !scan.header_ok {
                     // The whole file is unreadable: reset it. One
                     // corruption event, zero admitted records.
@@ -965,63 +1141,76 @@ impl PersistTier {
         file.flush()
     }
 
-    fn read_body(state: &mut TierState, loc: Loc) -> io::Result<Vec<u8>> {
-        let file = if loc.snap { state.snap.as_mut() } else { state.log.as_mut() };
-        let file = file.ok_or_else(|| io::Error::from(io::ErrorKind::NotFound))?;
-        file.seek(SeekFrom::Start(loc.off + FRAME_HEADER_LEN as u64))?;
-        let mut buf = vec![0u8; loc.len as usize];
-        file.read_exact(&mut buf)?;
-        Ok(buf)
-    }
-
     /// Probes the disk index for `key`, confirming any candidate exactly
     /// like the memory tier does: context `same` equality plus
     /// `find_isomorphism` against the decoded representative.
+    ///
+    /// The tier lock covers only the index walk, the context filter and
+    /// the frame reads. Each frame is then re-verified outside it —
+    /// length, context bytes and checksum, then the entry decode — since
+    /// the file may have been altered since it was validated; a frame that
+    /// fails is a miss, counted in `discarded` and dropped from the index.
     pub(crate) fn lookup(&self, key: u64, ctx: &ChaseContext, q: &CqQuery) -> Option<DiskHit> {
-        let mut state = lock_recovering(&self.state);
-        let locs: Vec<Loc> = state.index.get(&key)?.clone();
-        for loc in locs {
-            let body = match Self::read_body(&mut state, loc) {
-                Ok(b) => b,
-                Err(_) => {
-                    self.io_errors.fetch_add(1, Ordering::Relaxed);
+        let (generation, frames) = {
+            let mut state = lock_recovering(&self.state);
+            let TierState { log, snap, index, contexts, generation, .. } = &mut *state;
+            let mut frames = Vec::new();
+            for &loc in index.get(&key)? {
+                let context = &contexts.entries[loc.ctx as usize];
+                if !context.ctx.same(ctx) {
                     continue;
                 }
-            };
-            // Startup validated this record; if the file was altered
-            // underneath us since, decoding fails and the probe is a miss,
-            // never a panic.
-            let Ok(record) = decode_record(&body) else { continue };
-            if !record.ctx.same(ctx) {
-                continue;
+                match read_frame(if loc.snap { snap } else { log }, loc) {
+                    Ok(frame) => frames.push((loc, Arc::clone(context), frame)),
+                    Err(_) => {
+                        self.io_errors.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
             }
-            let Some(map) = find_isomorphism(q, &record.representative) else { continue };
-            let sigma = Self::memoized_sigma(&mut state.sigma_memo, &record);
-            let outcome = match record.outcome {
-                Ok(chase) => Ok(Arc::new(StoredChase {
+            (*generation, frames)
+        };
+        for (loc, context, frame) in frames {
+            let entry = frame_intact(&frame, loc, &context)
+                .then(|| decode_entry(&frame[FRAME_HEADER_LEN..], loc.entry_off).ok())
+                .flatten();
+            let Some((representative, outcome)) = entry else {
+                self.reject(key, loc, generation);
+                continue;
+            };
+            let Some(map) = find_isomorphism(q, &representative) else { continue };
+            let outcome = outcome.map(|chase| {
+                Arc::new(StoredChase {
                     query: chase.query,
                     failed: chase.failed,
                     steps: chase.steps,
                     renaming: chase.renaming,
-                    sigma_regularized: sigma,
-                })),
-                Err(err) => Err(err),
-            };
+                    sigma_regularized: Arc::clone(&context.sigma),
+                })
+            });
             self.disk_hits.fetch_add(1, Ordering::Relaxed);
-            return Some(DiskHit { representative: record.representative, outcome, map });
+            return Some(DiskHit { representative, outcome, map });
         }
         None
     }
 
-    fn memoized_sigma(
-        memo: &mut HashMap<String, Arc<DependencySet>>,
-        record: &PersistRecord,
-    ) -> Arc<DependencySet> {
-        let text = record.ctx.sigma_text().to_string();
-        if memo.len() >= SIGMA_MEMO_CAP && !memo.contains_key(&text) {
-            memo.clear();
+    /// Drops a frame that failed re-verification from the index, counting
+    /// it as one corruption event — unless a compaction replaced the index
+    /// since the frame was read (the compaction re-verified it) or another
+    /// probe dropped it first.
+    fn reject(&self, key: u64, loc: Loc, generation: u64) {
+        let mut state = lock_recovering(&self.state);
+        if state.generation != generation {
+            return;
         }
-        Arc::clone(memo.entry(text).or_insert_with(|| Arc::clone(&record.sigma)))
+        let Some(locs) = state.index.get_mut(&key) else { return };
+        let before = locs.len();
+        locs.retain(|l| (l.snap, l.off) != (loc.snap, loc.off));
+        if locs.len() < before {
+            self.discarded.fetch_add(1, Ordering::Relaxed);
+        }
+        if locs.is_empty() {
+            state.index.remove(&key);
+        }
     }
 
     /// Appends a record to the log (no-op when read-only or broken),
@@ -1037,6 +1226,13 @@ impl PersistTier {
             return;
         }
         let body = encode_record(record);
+        // A body whose context fails to decode would end recovery's valid
+        // prefix, and every later record with it: never write one.
+        let Some(ctx) = state.contexts.find(&body).or_else(|| state.contexts.add(&body).ok())
+        else {
+            return;
+        };
+        let entry_off = state.contexts.entries[ctx].bytes.len() as u32;
         let frame = frame_record(&body);
         state.appends_seen += 1;
         if let Some(fault) = state.fault {
@@ -1059,6 +1255,8 @@ impl PersistTier {
                     snap: false,
                     off,
                     len: body.len() as u32,
+                    ctx: ctx as u32,
+                    entry_off,
                 });
                 state.log_len += frame.len() as u64;
                 state.appends_since_snapshot += 1;
@@ -1087,6 +1285,10 @@ impl PersistTier {
     /// log to its header. A crash between rename and truncate leaves
     /// records duplicated across the two files — harmless: recovery
     /// indexes both copies and the confirm path dedups on first match.
+    /// Frames are copied verbatim after the same length, checksum and
+    /// context check a hit makes, so a frame altered since it was indexed
+    /// is dropped (one `discarded` event), never re-checksummed into the
+    /// snapshot.
     fn compact(&self, state: &mut TierState) -> io::Result<()> {
         let tmp_path = self.snapshot_path.with_extension("eqc.tmp");
         let mut entries: Vec<(u64, Loc)> = state
@@ -1103,10 +1305,13 @@ impl PersistTier {
         let mut new_index: HashMap<u64, Vec<Loc>> = HashMap::new();
         let mut off = FILE_HEADER_LEN as u64;
         for (key, loc) in entries {
-            let body = Self::read_body(state, loc)?;
-            let frame = frame_record(&body);
+            let frame = read_frame(if loc.snap { &mut state.snap } else { &mut state.log }, loc)?;
+            if !frame_intact(&frame, loc, &state.contexts.entries[loc.ctx as usize]) {
+                self.discarded.fetch_add(1, Ordering::Relaxed);
+                continue;
+            }
             tmp.write_all(&frame)?;
-            new_index.entry(key).or_default().push(Loc { snap: true, off, len: loc.len });
+            new_index.entry(key).or_default().push(Loc { snap: true, off, ..loc });
             off += frame.len() as u64;
         }
         let tmp = tmp.into_inner().map_err(|e| e.into_error())?;
@@ -1115,6 +1320,7 @@ impl PersistTier {
         fs::rename(&tmp_path, &self.snapshot_path)?;
         state.snap = Some(File::open(&self.snapshot_path)?);
         state.index = new_index;
+        state.generation += 1;
         let log = state.log.as_mut().expect("writable tier has a log");
         log.set_len(FILE_HEADER_LEN as u64)?;
         state.log_len = FILE_HEADER_LEN as u64;
@@ -1159,7 +1365,13 @@ mod tests {
             assert!(decoded.ctx.same(&record.ctx));
             assert_eq!(decoded.ctx.fingerprint(), record.ctx.fingerprint());
             assert_eq!(decoded.representative, record.representative);
-            assert_eq!(record_key(&decoded), record_key(&record));
+            // Recovery indexes the record under the key a live probe computes.
+            let mut file = file_header(&LOG_MAGIC);
+            file.extend_from_slice(&frame_record(&body));
+            let scan = scan_file(&file, &LOG_MAGIC, false, &mut ContextTable::default());
+            let live =
+                cache_key(query_fingerprint(&record.representative), record.ctx.fingerprint());
+            assert_eq!(scan.locs[0].0, live);
             match (&decoded.outcome, &record.outcome) {
                 (Ok(a), Ok(b)) => {
                     assert_eq!(a.query, b.query);
@@ -1232,19 +1444,104 @@ mod tests {
         let mut bytes = file_header(&LOG_MAGIC);
         bytes.extend_from_slice(&frame_record(&body));
         bytes.extend_from_slice(&frame_record(&body));
-        let full = scan_file(&bytes, &LOG_MAGIC, false);
+        let full = scan_file(&bytes, &LOG_MAGIC, false, &mut ContextTable::default());
         assert_eq!((full.records, full.corrupt), (2, false));
         assert_eq!(full.valid_end, bytes.len() as u64);
         // Corrupt the second record's checksum: only the first survives.
         let second = FILE_HEADER_LEN + FRAME_HEADER_LEN + body.len();
         let mut corrupted = bytes.clone();
         corrupted[second + 5] ^= 0xFF;
-        let scan = scan_file(&corrupted, &LOG_MAGIC, false);
+        let scan = scan_file(&corrupted, &LOG_MAGIC, false, &mut ContextTable::default());
         assert_eq!((scan.records, scan.corrupt), (1, true));
         assert_eq!(scan.valid_end as usize, second);
         // Wrong magic: nothing admitted.
-        let scan = scan_file(&bytes, &SNAPSHOT_MAGIC, true);
+        let scan = scan_file(&bytes, &SNAPSHOT_MAGIC, true, &mut ContextTable::default());
         assert!(!scan.header_ok && scan.corrupt && scan.records == 0);
+    }
+
+    #[test]
+    fn recovery_decodes_each_distinct_context_once() {
+        let ok = encode_record(&sample_record(false));
+        let err = encode_record(&sample_record(true));
+        let mut other = sample_record(false);
+        other.ctx = ChaseContext::new(
+            Semantics::Set,
+            &other.sigma,
+            &Schema::all_bags(&[("p", 2), ("s", 2)]),
+            &ChaseConfig::default(),
+        );
+        let other = encode_record(&other);
+        let mut bytes = file_header(&LOG_MAGIC);
+        for body in [&ok, &err, &other, &ok] {
+            bytes.extend_from_slice(&frame_record(body));
+        }
+        let mut contexts = ContextTable::default();
+        let scan = scan_file(&bytes, &LOG_MAGIC, false, &mut contexts);
+        assert_eq!((scan.records, scan.corrupt), (4, false));
+        // Records 1, 2 and 4 share a context; record 3 differs in semantics.
+        assert_eq!(contexts.entries.len(), 2);
+        let ids: Vec<u32> = scan.locs.iter().map(|(_, loc)| loc.ctx).collect();
+        assert_eq!(ids, [0, 0, 1, 0]);
+        for (_, loc) in &scan.locs {
+            let context = &contexts.entries[loc.ctx as usize];
+            assert_eq!(loc.entry_off as usize, context.bytes.len());
+            let body = &bytes[loc.off as usize + FRAME_HEADER_LEN..][..loc.len as usize];
+            let frame = &bytes[loc.off as usize..][..FRAME_HEADER_LEN + loc.len as usize];
+            assert!(frame_intact(frame, *loc, context));
+            let decoded = decode_record(body).unwrap();
+            assert!(decoded.ctx.same(&context.ctx));
+            assert_eq!(decode_entry(body, loc.entry_off).unwrap().0, decoded.representative);
+        }
+        // A later scan over the same table decodes no context at all.
+        let again = scan_file(&bytes, &LOG_MAGIC, false, &mut contexts);
+        assert_eq!((again.records, contexts.entries.len()), (4, 2));
+    }
+
+    #[test]
+    fn altered_frames_fail_the_intact_check() {
+        let body = encode_record(&sample_record(false));
+        let mut contexts = ContextTable::default();
+        let ctx = contexts.add(&body).unwrap();
+        let context = &contexts.entries[ctx];
+        let loc = Loc {
+            snap: false,
+            off: 0,
+            len: body.len() as u32,
+            ctx: ctx as u32,
+            entry_off: context.bytes.len() as u32,
+        };
+        let frame = frame_record(&body);
+        assert_eq!(context.body_checksum(&body), checksum(&body));
+        assert!(frame_intact(&frame, loc, context));
+        for i in 0..frame.len() {
+            let mut altered = frame.clone();
+            altered[i] ^= 0x10;
+            assert!(!frame_intact(&altered, loc, context), "flip at {i} passed");
+        }
+        // A re-checksummed body whose context changed still fails.
+        let mut forged = body.clone();
+        forged[0] = sem_tag(Semantics::Set);
+        assert!(!frame_intact(&frame_record(&forged), loc, context));
+    }
+
+    #[test]
+    fn reject_drops_a_location_once_and_only_within_its_generation() {
+        let tier = PersistTier::empty(true, 0, PathBuf::new());
+        let loc = Loc { snap: false, off: 12, len: 1, ctx: 0, entry_off: 0 };
+        let other = Loc { off: 40, ..loc };
+        lock_recovering(&tier.state).index.insert(7, vec![loc, other]);
+        // A compaction since the frame was read: its offset may name
+        // another frame now, so nothing is dropped or counted.
+        lock_recovering(&tier.state).generation = 1;
+        tier.reject(7, loc, 0);
+        assert_eq!((lock_recovering(&tier.state).index[&7].len(), tier.stats().discarded), (2, 0));
+        // Two probes rejecting the same frame count it once.
+        tier.reject(7, loc, 1);
+        tier.reject(7, loc, 1);
+        assert_eq!((lock_recovering(&tier.state).index[&7].len(), tier.stats().discarded), (1, 1));
+        tier.reject(7, other, 1);
+        assert!(!lock_recovering(&tier.state).index.contains_key(&7));
+        assert_eq!(tier.stats().discarded, 2);
     }
 
     #[test]

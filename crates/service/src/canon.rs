@@ -30,14 +30,20 @@ use eqsql_chase::ChaseConfig;
 use eqsql_cq::{CqQuery, Term, Var};
 use eqsql_deps::DependencySet;
 use eqsql_relalg::{Schema, Semantics};
-use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
+use std::ops::Range;
 
 /// FNV-1a. The fingerprint sits on the cache's *hit* path (it is computed
 /// per probe), so it uses a cheap multiply-xor hash rather than the
 /// DoS-resistant default — collisions are resolved by exact isomorphism
 /// checks anyway, never trusted.
 struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Fnv {
+        Fnv(0xCBF2_9CE4_8422_2325)
+    }
+}
 
 impl Hasher for Fnv {
     fn write(&mut self, bytes: &[u8]) {
@@ -52,9 +58,26 @@ impl Hasher for Fnv {
 }
 
 fn h64(x: impl Hash) -> u64 {
-    let mut h = Fnv(0xCBF2_9CE4_8422_2325);
+    let mut h = Fnv::new();
     x.hash(&mut h);
     h.finish()
+}
+
+/// A term as color refinement sees it: a variable's dense index, or a
+/// constant's color (constants never change color between rounds).
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Slot {
+    Var(usize),
+    Color(u64),
+}
+
+impl Slot {
+    fn color(self, var_colors: &[u64]) -> u64 {
+        match self {
+            Slot::Var(v) => var_colors[v],
+            Slot::Color(c) => c,
+        }
+    }
 }
 
 /// A renaming-invariant fingerprint of a conjunctive query.
@@ -62,69 +85,125 @@ fn h64(x: impl Hash) -> u64 {
 /// Guaranteed equal for isomorphic queries (in the [`eqsql_cq::iso`] sense:
 /// positional head correspondence, bodies as multisets); equality for
 /// non-isomorphic queries is possible but harmless to the cache.
+///
+/// Runs on every cache probe, so the refinement works over dense tables
+/// built once per call — variable indices, flattened argument slots, each
+/// atom's hash state after its predicate and arity, and per-variable
+/// occurrence lists — and reuses its buffers across rounds. FNV sees
+/// exactly the bytes that hashing the per-step tuples with [`Hash`] feeds
+/// it — `("head", positions)`, `(predicate, argument colors)`, `(color,
+/// sorted occurrences)`, `(head arity, head colors, sorted atom colors)` —
+/// so the fingerprint equals that of the map-based recipe this replaced
+/// (kept as the oracle in this module's tests).
 pub fn query_fingerprint(q: &CqQuery) -> u64 {
-    let vars = q.all_vars();
+    // Variables are numbered in first-occurrence order by a linear scan:
+    // probes are request-sized queries with a handful of variables.
+    let mut vars: Vec<Var> = Vec::new();
+    let mut slot = |t: &Term| match t {
+        Term::Var(v) => Slot::Var(match vars.iter().position(|w| w == v) {
+            Some(i) => i,
+            None => {
+                vars.push(*v);
+                vars.len() - 1
+            }
+        }),
+        Term::Const(c) => Slot::Color(h64(("const", c))),
+    };
+    let head: Vec<Slot> = q.head.iter().map(&mut slot).collect();
+    // Each atom as its arguments' range in `args` and its seed: the hash
+    // state after its predicate name and arity, the part of its color that
+    // never changes.
+    let mut args: Vec<Slot> = Vec::new();
+    let mut atoms: Vec<(Range<usize>, u64)> = Vec::with_capacity(q.body.len());
+    for a in &q.body {
+        let start = args.len();
+        args.extend(a.args.iter().map(&mut slot));
+        let mut h = Fnv::new();
+        a.pred.name().hash(&mut h);
+        h.write_usize(a.args.len());
+        atoms.push((start..args.len(), h.0));
+    }
+    let n = vars.len();
+    // Occurrence lists: variable `v` occurs at the `(atom, position)`
+    // pairs `occ[starts[v]..starts[v + 1]]`.
+    let mut starts = vec![0usize; n + 1];
+    for s in &args {
+        if let Slot::Var(v) = s {
+            starts[v + 1] += 1;
+        }
+    }
+    for v in 0..n {
+        starts[v + 1] += starts[v];
+    }
+    let mut occ = vec![(0usize, 0usize); starts[n]];
+    let mut fill = starts.clone();
+    for (a, (range, _)) in atoms.iter().enumerate() {
+        for (pos, s) in args[range.clone()].iter().enumerate() {
+            if let Slot::Var(v) = *s {
+                occ[fill[v]] = (a, pos);
+                fill[v] += 1;
+            }
+        }
+    }
     // Round 0: head participation. Interned symbol ids are process-local,
     // so hash the *positions*, never the names.
-    let mut color: HashMap<Var, u64> = vars
-        .iter()
+    let mut color: Vec<u64> = (0..n)
         .map(|v| {
-            let head_positions: Vec<usize> = q
-                .head
-                .iter()
-                .enumerate()
-                .filter(|(_, t)| **t == Term::Var(*v))
-                .map(|(i, _)| i)
-                .collect();
-            (*v, h64(("head", head_positions)))
+            let mut h = Fnv::new();
+            "head".hash(&mut h);
+            let at = |&(_, s): &(usize, &Slot)| *s == Slot::Var(v);
+            h.write_usize(head.iter().enumerate().filter(at).count());
+            for (i, _) in head.iter().enumerate().filter(at) {
+                h.write_usize(i);
+            }
+            h.0
         })
         .collect();
     // Refine until colors must have stabilized: each round either splits a
     // color class or changes nothing, so |vars| rounds suffice (capped for
     // pathological inputs — soundness never depends on reaching the fixpoint).
-    let rounds = vars.len().clamp(2, 16);
-    let mut atom_colors: Vec<u64> = Vec::new();
+    let rounds = n.clamp(2, 16);
+    let mut next = vec![0u64; n];
+    let mut atom_colors = vec![0u64; q.body.len()];
+    let mut pairs: Vec<(u64, usize)> = Vec::new();
     for _ in 0..rounds {
-        atom_colors = q
-            .body
-            .iter()
-            .map(|a| {
-                let arg_colors: Vec<u64> = a
-                    .args
-                    .iter()
-                    .map(|t| match t {
-                        Term::Var(v) => color[v],
-                        Term::Const(c) => h64(("const", c)),
-                    })
-                    .collect();
-                h64((a.pred.name(), arg_colors))
-            })
-            .collect();
-        let mut next: HashMap<Var, u64> = HashMap::with_capacity(color.len());
-        for v in &vars {
-            let mut occ: Vec<(u64, usize)> = Vec::new();
-            for (a, &ac) in q.body.iter().zip(atom_colors.iter()) {
-                for (i, t) in a.args.iter().enumerate() {
-                    if *t == Term::Var(*v) {
-                        occ.push((ac, i));
-                    }
-                }
+        for ((range, seed), atom_color) in atoms.iter().zip(&mut atom_colors) {
+            let mut h = Fnv(*seed);
+            for s in &args[range.clone()] {
+                h.write_u64(s.color(&color));
             }
-            occ.sort_unstable();
-            next.insert(*v, h64((color[v], occ)));
+            *atom_color = h.0;
         }
-        color = next;
+        for v in 0..n {
+            pairs.clear();
+            pairs.extend(
+                occ[starts[v]..starts[v + 1]].iter().map(|&(a, pos)| (atom_colors[a], pos)),
+            );
+            pairs.sort_unstable();
+            let mut h = Fnv::new();
+            h.write_u64(color[v]);
+            h.write_usize(pairs.len());
+            for &(c, pos) in &pairs {
+                h.write_u64(c);
+                h.write_usize(pos);
+            }
+            next[v] = h.0;
+        }
+        std::mem::swap(&mut color, &mut next);
     }
-    let head_colors: Vec<u64> = q
-        .head
-        .iter()
-        .map(|t| match t {
-            Term::Var(v) => color[v],
-            Term::Const(c) => h64(("const", c)),
-        })
-        .collect();
+    // The head colors (in order) with the sorted multiset of atom colors.
+    let mut h = Fnv::new();
+    h.write_usize(head.len());
+    h.write_usize(head.len());
+    for s in &head {
+        h.write_u64(s.color(&color));
+    }
     atom_colors.sort_unstable();
-    h64((q.head.len(), head_colors, atom_colors))
+    h.write_usize(atom_colors.len());
+    for &c in &atom_colors {
+        h.write_u64(c);
+    }
+    h.0
 }
 
 /// The chase *context*: everything besides the query that the sound
@@ -296,11 +375,153 @@ pub fn cache_key(query_fp: u64, context_fp: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eqsql_cq::parse_query;
+    use crate::{parse_request_file, Request};
+    use eqsql_chase::sound_chase;
+    use eqsql_cq::{parse_query, Value};
     use eqsql_deps::parse_dependencies;
+    use eqsql_gen::queries::{random_query, QueryParams};
+    use eqsql_gen::{appendix_h_instance, rename_isomorphic};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::HashMap;
 
     fn q(s: &str) -> CqQuery {
         parse_query(s).unwrap()
+    }
+
+    /// The map-based recipe [`query_fingerprint`] was first written as:
+    /// the oracle its dense-table rewrite must match bit for bit.
+    fn oracle_fingerprint(q: &CqQuery) -> u64 {
+        let vars = q.all_vars();
+        let mut color: HashMap<Var, u64> = vars
+            .iter()
+            .map(|v| {
+                let head_positions: Vec<usize> = q
+                    .head
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, t)| **t == Term::Var(*v))
+                    .map(|(i, _)| i)
+                    .collect();
+                (*v, h64(("head", head_positions)))
+            })
+            .collect();
+        let rounds = vars.len().clamp(2, 16);
+        let mut atom_colors: Vec<u64> = Vec::new();
+        for _ in 0..rounds {
+            atom_colors = q
+                .body
+                .iter()
+                .map(|a| {
+                    let arg_colors: Vec<u64> = a
+                        .args
+                        .iter()
+                        .map(|t| match t {
+                            Term::Var(v) => color[v],
+                            Term::Const(c) => h64(("const", c)),
+                        })
+                        .collect();
+                    h64((a.pred.name(), arg_colors))
+                })
+                .collect();
+            let mut next: HashMap<Var, u64> = HashMap::with_capacity(color.len());
+            for v in &vars {
+                let mut occ: Vec<(u64, usize)> = Vec::new();
+                for (a, &ac) in q.body.iter().zip(atom_colors.iter()) {
+                    for (i, t) in a.args.iter().enumerate() {
+                        if *t == Term::Var(*v) {
+                            occ.push((ac, i));
+                        }
+                    }
+                }
+                occ.sort_unstable();
+                next.insert(*v, h64((color[v], occ)));
+            }
+            color = next;
+        }
+        let head_colors: Vec<u64> = q
+            .head
+            .iter()
+            .map(|t| match t {
+                Term::Var(v) => color[v],
+                Term::Const(c) => h64(("const", c)),
+            })
+            .collect();
+        atom_colors.sort_unstable();
+        h64((q.head.len(), head_colors, atom_colors))
+    }
+
+    /// Asserts the oracle agrees on `q` and, when `chase` is given, on its
+    /// sound-chase terminal; returns how many queries were compared.
+    fn agree(q: &CqQuery, chase: Option<(Semantics, &DependencySet, &Schema)>) -> usize {
+        assert_eq!(query_fingerprint(q), oracle_fingerprint(q), "{q}");
+        let Some((sem, sigma, schema)) = chase else { return 1 };
+        match sound_chase(sem, q, sigma, schema, &ChaseConfig::default()) {
+            Ok(r) => agree(&r.query, None) + 1,
+            Err(_) => 1,
+        }
+    }
+
+    #[test]
+    fn fingerprint_matches_the_map_based_oracle() {
+        let mut compared = 0;
+        // The committed equiv_batch stream, with its Set and BagSet terminals.
+        let file = parse_request_file(include_str!("../fixtures/equiv_batch.req")).unwrap();
+        for req in &file.requests {
+            let Request::Equivalent { q1, q2, .. } = req else { continue };
+            for q in [q1, q2] {
+                for sem in [Semantics::Set, Semantics::BagSet] {
+                    compared += agree(q, Some((sem, &file.sigma, &file.schema)));
+                }
+            }
+        }
+        // Seeded Appendix-H m=4 pairs (even pairs α-renamed twins, odd
+        // pairs independent), with their terminals. Semantics cycle over the
+        // first 30 pairs only: unoptimized, a bag chase here costs ~40 ms.
+        let h = appendix_h_instance(4);
+        let mut rng = StdRng::seed_from_u64(0xF1);
+        let params =
+            QueryParams { atoms: 3, vars: 4, const_prob: 0.1, const_domain: 3, max_head: 2 };
+        for k in 0..400 {
+            let sem = match k {
+                0..30 => [Semantics::Set, Semantics::Bag, Semantics::BagSet][k % 3],
+                _ => Semantics::Set,
+            };
+            let q1 = random_query(&mut rng, &h.schema, &params);
+            let q2 = if k % 2 == 0 {
+                rename_isomorphic(&mut rng, &q1)
+            } else {
+                random_query(&mut rng, &h.schema, &params)
+            };
+            for q in [&q1, &q2] {
+                compared += agree(q, Some((sem, &h.sigma, &h.schema)));
+            }
+        }
+        // Random queries, with head constants, repeated head variables and
+        // every constant shape mixed in.
+        let schema = Schema::all_bags(&[("a", 1), ("b", 2), ("c", 3), ("d", 4)]);
+        let mut rng = StdRng::seed_from_u64(0xF2);
+        for k in 0..2000 {
+            let params = QueryParams {
+                atoms: 1 + k % 8,
+                vars: 1 + k % 7,
+                const_prob: 0.2,
+                const_domain: 5,
+                max_head: 3,
+            };
+            let mut q = random_query(&mut rng, &schema, &params);
+            if rng.gen_bool(0.3) {
+                let c = [Value::str("k"), Value::real(0.5), Value::Labeled(7)][k % 3];
+                q.head.push(Term::Const(c));
+                let atom = k % q.body.len();
+                q.body[atom].args[0] = Term::Const(c);
+            }
+            if let Some(&t) = q.head.first().filter(|_| rng.gen_bool(0.3)) {
+                q.head.push(t);
+            }
+            compared += agree(&q, None);
+        }
+        assert!(compared >= 3000, "compared only {compared} queries");
     }
 
     #[test]

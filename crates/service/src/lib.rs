@@ -116,6 +116,12 @@
 //!   the live hit path — exact context equality plus isomorphism
 //!   confirmation — so recovery can never admit an entry a fresh solver
 //!   would decide differently.
+//! * **Disk hits.** Each distinct context (the Σ every record repeats) is
+//!   decoded once per process, at recovery or append. A hit reads its
+//!   frame under the tier lock, then outside it re-checks the frame's
+//!   length, context bytes and checksum, decodes the entry part only, and
+//!   confirms by isomorphism; a frame altered since startup is a miss,
+//!   counted in `discarded`.
 //! * **What is (not) memoized across restarts.** Terminal results and the
 //!   *deterministic* budget errors (`BudgetExhausted`, `QueryTooLarge`)
 //!   are; transient guard aborts (deadline, cancellation) never reach

@@ -95,6 +95,19 @@ echo "$WARM_OUT" | grep -Eq '^persist: .* [1-9][0-9]* disk hits' \
 if echo "$WARM_OUT" | grep -Eq '^persist: .*io errors'; then
     echo "persist smoke: io errors reported" >&2; exit 1
 fi
+# A restart behind a one-entry-per-shard memory tier, deciding the file
+# twice: repeat probes miss memory and take the disk-hit path again (frame
+# re-verification, entry-only decode), which must not change a verdict.
+DISK_OUT="$(cargo run -q -p eqsql-net --bin eqsql-serve -- \
+    --cache-dir "$CACHE_DIR" --cache-capacity 1 --repeat 2 crates/service/fixtures/smoke.req)"
+diff <(echo "$COLD_OUT" | strip_stats) <(echo "$DISK_OUT" | strip_stats) \
+    || { echo "persist smoke: disk-path restart changed a verdict" >&2; exit 1; }
+echo "$DISK_OUT" | grep -E '^persist:' | sed 's/^/  /'
+echo "$DISK_OUT" | grep -Eq '^persist: .* [1-9][0-9]* disk hits' \
+    || { echo "persist smoke: disk-path restart served no disk hits" >&2; exit 1; }
+if echo "$DISK_OUT" | grep -Eq '^persist: .*io errors'; then
+    echo "persist smoke: disk-path restart reported io errors" >&2; exit 1
+fi
 # A read-only replica over the same directory must leave the log untouched.
 LOG_BYTES_BEFORE="$(wc -c < "$CACHE_DIR/log.eqc")"
 cargo run -q -p eqsql-net --bin eqsql-serve -- --quiet \

@@ -10,14 +10,17 @@
 //! valid prefix with exact discarded accounting in `Solver::stats()`, and
 //! (b) never admit an entry a fresh solver would decide differently.
 //! Alongside: a 200-draw round-trip property test over every persisted
-//! value shape, and a 150-draw cold-vs-warm-start differential.
+//! value shape, a 150-draw cold-vs-warm-start differential, and the disk
+//! hit path's own guards — bytes altered after startup are never served,
+//! and concurrent hits survive appends and compaction.
 //!
 //! Regenerate committed fixtures with:
 //! `EQSQL_REGEN_FIXTURES=1 cargo test -p eqsql-integration-tests --test persist_recovery`
 
 use eqsql_bench::workloads::{equiv_batch_request_file, repeated_subquery_pairs};
 use eqsql_chase::{sound_chase, ChaseConfig, ChaseError};
-use eqsql_cq::{find_isomorphism, parse_query};
+use eqsql_core::SoundChaser;
+use eqsql_cq::{are_isomorphic, find_isomorphism, parse_query, CqQuery};
 use eqsql_deps::{parse_dependencies, regularize_set, DependencySet};
 use eqsql_gen::queries::{random_query, QueryParams};
 use eqsql_gen::sigma::SigmaParams;
@@ -35,7 +38,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 // ---------------------------------------------------------------- helpers
 
@@ -518,6 +521,159 @@ fn snapshot_compaction_round_trips_through_restart() {
     let s = warm.stats().cache;
     assert_eq!(s.misses, 0, "fully warm restart must not re-chase: {s:?}");
     assert_eq!(s.persist.disk_hits, 5, "{s:?}");
+}
+
+// ------------------------------------------------------ the disk hit path
+
+/// A disk hit re-verifies the frame it serves. Here one bit of a stored
+/// terminal's constant is flipped in `log.eqc` after startup validated
+/// it: the probe must miss (re-chasing to the genuine terminal) and count
+/// one corruption event, never replay the altered terminal.
+#[test]
+fn disk_hit_rejects_bytes_altered_after_open() {
+    let sigma = parse_dependencies("p(X,Y) -> s(Y,Z).").unwrap();
+    let schema = Schema::all_bags(&[("p", 2), ("s", 2)]);
+    let config = ChaseConfig::default();
+    let scratch = Scratch::new("altered");
+    let dir = scratch.path();
+    // One memory entry: the second probe evicts the first to disk only.
+    let cache =
+        ChaseCache::open(CacheConfig { shards: 1, capacity: 1, persist: Some(persist_at(dir)) })
+            .unwrap();
+    let probe = parse_query("q(X) :- p(X, 77777)").unwrap();
+    let other = parse_query("q(X) :- s(X, X)").unwrap();
+    cache.sound_chase(Semantics::Set, &probe, &sigma, &schema, &config).unwrap();
+    cache.sound_chase(Semantics::Set, &other, &sigma, &schema, &config).unwrap();
+
+    // The last 77777 in the log is in the probe's terminal, s(77777, Z).
+    let log = dir.join("log.eqc");
+    let mut bytes = std::fs::read(&log).unwrap();
+    let at = bytes.windows(8).rposition(|w| w == 77777u64.to_le_bytes()).unwrap();
+    bytes[at] ^= 1;
+    std::fs::write(&log, &bytes).unwrap();
+
+    let got = cache.sound_chase(Semantics::Set, &probe, &sigma, &schema, &config).unwrap();
+    let want = sound_chase(Semantics::Set, &probe, &sigma, &schema, &config).unwrap();
+    assert!(
+        are_isomorphic(&got.query, &want.query),
+        "served {} for {}, want {}",
+        got.query,
+        probe,
+        want.query
+    );
+    let s = cache.stats();
+    assert_eq!(
+        (s.hits, s.misses, s.persist.disk_hits, s.persist.discarded, s.persist.io_errors),
+        (0, 3, 0, 1, 0),
+        "{s:?}"
+    );
+}
+
+/// Compaction re-verifies every frame it copies: one altered after startup
+/// is dropped (one `discarded` event), never re-checksummed into the
+/// snapshot, so the next process cannot load it as a valid record.
+#[test]
+fn compaction_drops_frames_altered_after_open() {
+    let sigma = parse_dependencies("p(X,Y) -> s(Y,Z).").unwrap();
+    let schema = Schema::all_bags(&[("p", 2), ("s", 2)]);
+    let config = ChaseConfig::default();
+    let scratch = Scratch::new("altered-compaction");
+    let dir = scratch.path();
+    let probe = parse_query("q(X) :- p(X, 77777)").unwrap();
+    let mut persist = persist_at(dir);
+    persist.snapshot_every = 3;
+    let cache = ChaseCache::open(cache_config(persist)).unwrap();
+    cache.sound_chase(Semantics::Set, &probe, &sigma, &schema, &config).unwrap();
+    let log = dir.join("log.eqc");
+    let mut bytes = std::fs::read(&log).unwrap();
+    let at = bytes.windows(8).rposition(|w| w == 77777u64.to_le_bytes()).unwrap();
+    bytes[at] ^= 1;
+    std::fs::write(&log, &bytes).unwrap();
+    // Two more appends reach the cadence: the compaction meets the altered frame.
+    for text in ["q(X) :- s(X, X)", "q(X) :- p(X, X)"] {
+        let q = parse_query(text).unwrap();
+        cache.sound_chase(Semantics::Set, &q, &sigma, &schema, &config).unwrap();
+    }
+    let p = cache.stats().persist;
+    assert_eq!((p.appended, p.snapshots, p.discarded), (3, 1, 1), "{p:?}");
+    drop(cache);
+
+    let restarted = ChaseCache::open(cache_config(persist_at(dir))).unwrap();
+    let p = restarted.stats().persist;
+    assert_eq!((p.loaded, p.recovered, p.discarded), (2, 0, 0), "{p:?}");
+    let got = restarted.sound_chase(Semantics::Set, &probe, &sigma, &schema, &config).unwrap();
+    let want = sound_chase(Semantics::Set, &probe, &sigma, &schema, &config).unwrap();
+    assert!(are_isomorphic(&got.query, &want.query), "served {}, want {}", got.query, want.query);
+    assert_eq!(restarted.stats().persist.disk_hits, 0);
+}
+
+/// Two threads re-probe a filled cache dir behind a one-entry memory tier,
+/// so nearly every probe is a disk hit confirmed outside the tier lock,
+/// while a third thread's misses append and compact every two records —
+/// swapping the index and truncating the log under the readers. Every
+/// replayed result must be isomorphic to a direct `sound_chase`, readers
+/// must never miss, and no frame may be rejected or fail to read.
+#[test]
+fn concurrent_disk_hits_survive_appends_and_compaction() {
+    let sigma = parse_dependencies("p(X,Y) -> s(Y,Z).\ns(X,Y) -> t(X).").unwrap();
+    let schema = Schema::all_bags(&[("p", 2), ("s", 2), ("t", 1)]);
+    let config = ChaseConfig::default();
+    let scratch = Scratch::new("concurrent");
+    let dir = scratch.path();
+    let filled: Vec<CqQuery> =
+        (0..12).map(|k| parse_query(&format!("q(X) :- p(X, {k}), t(X)")).unwrap()).collect();
+    let fresh: Vec<CqQuery> =
+        (0..40).map(|k| parse_query(&format!("q(X) :- s(X, {k})")).unwrap()).collect();
+    {
+        let cold = ChaseCache::open(cache_config(persist_at(dir))).unwrap();
+        for q in &filled {
+            cold.sound_chase(Semantics::Set, q, &sigma, &schema, &config).unwrap();
+        }
+    }
+    let want: Vec<CqQuery> = filled
+        .iter()
+        .map(|q| sound_chase(Semantics::Set, q, &sigma, &schema, &config).unwrap().query)
+        .collect();
+
+    let mut persist = persist_at(dir);
+    persist.snapshot_every = 2;
+    let cache =
+        ChaseCache::open(CacheConfig { shards: 1, capacity: 1, persist: Some(persist) }).unwrap();
+    let start = Barrier::new(3);
+    std::thread::scope(|scope| {
+        for seed in 0..2u64 {
+            let (cache, filled, want, start) = (&cache, &filled, &want, &start);
+            let (sigma, schema, config) = (&sigma, &schema, &config);
+            scope.spawn(move || {
+                let mut rng = StdRng::seed_from_u64(seed);
+                start.wait();
+                for _ in 0..25 {
+                    for (q, want) in filled.iter().zip(want) {
+                        let probe = rename_isomorphic(&mut rng, q);
+                        let got = cache
+                            .sound_chase(Semantics::Set, &probe, sigma, schema, config)
+                            .unwrap();
+                        assert!(
+                            are_isomorphic(&got.query, want),
+                            "replayed {} for {probe}, want {want}",
+                            got.query
+                        );
+                    }
+                }
+            });
+        }
+        scope.spawn(|| {
+            start.wait();
+            for q in &fresh {
+                cache.sound_chase(Semantics::Set, q, &sigma, &schema, &config).unwrap();
+            }
+        });
+    });
+    let s = cache.stats();
+    assert!(s.persist.disk_hits > 0, "{s:?}");
+    assert!(s.persist.snapshots >= 10, "cadence 2 over 40 appends: {s:?}");
+    assert_eq!(s.misses as usize, fresh.len(), "only the writer's probes may miss: {s:?}");
+    assert_eq!((s.persist.discarded, s.persist.io_errors), (0, 0), "{s:?}");
 }
 
 // ------------------------------------------------- single-writer locking
