@@ -21,7 +21,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use eqsql_bench::workloads::{repeated_subquery_pairs, workload_schema, workload_sigma};
 use eqsql_chase::ChaseConfig;
-use eqsql_service::{parse_request_file, Answer, BatchSession, Solver};
+use eqsql_service::{parse_request_file, Answer, Solver, SolverBuilder};
 use std::hint::black_box;
 
 fn bench_equiv_batch(c: &mut Criterion) {
@@ -29,20 +29,24 @@ fn bench_equiv_batch(c: &mut Criterion) {
     let schema = workload_schema();
     let config = ChaseConfig::default();
     let pairs = repeated_subquery_pairs();
+    // Boolean verdicts only: the cold/warm rows time chases and cache
+    // probes, not the separating-database search.
+    let builder = |threads: usize| -> SolverBuilder {
+        Solver::builder(sigma.clone(), schema.clone())
+            .chase_config(config)
+            .counterexamples(false)
+            .threads(threads)
+    };
     let mut group = c.benchmark_group("equiv_batch/cnb_repeated");
     group.sample_size(10);
     for threads in [1usize, 4, 8] {
         group.bench_with_input(BenchmarkId::new("cold", threads), &threads, |b, &t| {
-            b.iter(|| {
-                let session =
-                    BatchSession::new(sigma.clone(), schema.clone(), config).with_threads(t);
-                black_box(session.run(&pairs))
-            })
+            b.iter(|| black_box(builder(t).build().decide_all(&pairs)))
         });
-        let warm = BatchSession::new(sigma.clone(), schema.clone(), config).with_threads(threads);
-        warm.run(&pairs); // populate the cache, untimed
+        let warm = builder(threads).build();
+        warm.decide_all(&pairs); // populate the cache, untimed
         group.bench_with_input(BenchmarkId::new("warm", threads), &threads, |b, _| {
-            b.iter(|| black_box(warm.run(&pairs)))
+            b.iter(|| black_box(warm.decide_all(&pairs)))
         });
     }
     let file = parse_request_file(include_str!("../../service/fixtures/equiv_batch.req"))

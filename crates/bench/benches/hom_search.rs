@@ -20,7 +20,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use eqsql_chase::reference::set_chase_reference;
-use eqsql_chase::{set_chase, set_chase_opts, ChaseConfig, ChaseError, EngineOpts};
+use eqsql_chase::step::DedupPolicy;
+use eqsql_chase::{chase_indexed, set_chase, Admission, ChaseConfig, ChaseError, EngineOpts};
 use eqsql_cq::matcher::{bucket_atoms, reference, MatchPlan, Seed, Target};
 use eqsql_cq::{parse_query, Subst};
 use eqsql_gen::appendix_h_instance;
@@ -72,8 +73,15 @@ fn bench_chain_budget(c: &mut Criterion) {
         let cfg = ChaseConfig { max_steps: n, max_atoms: 1_000_000 };
         group.bench_with_input(BenchmarkId::new("delta", n), &cfg, |b, cfg| {
             b.iter(|| {
-                let err = set_chase_opts(black_box(&q), &sigma, cfg, &EngineOpts::delta_seeded())
-                    .unwrap_err();
+                let err = chase_indexed(
+                    black_box(&q),
+                    &sigma,
+                    cfg,
+                    &DedupPolicy::All,
+                    Admission::All,
+                    &EngineOpts::delta_seeded(),
+                )
+                .unwrap_err();
                 assert!(matches!(err, ChaseError::BudgetExhausted { .. }));
                 black_box(err)
             })

@@ -17,7 +17,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use eqsql_bench::workloads::{repeated_subquery_pairs, workload_schema, workload_sigma};
 use eqsql_chase::ChaseConfig;
-use eqsql_service::{BatchSession, CacheConfig, ChaseCache, PersistConfig};
+use eqsql_service::{CacheConfig, ChaseCache, PersistConfig, Solver};
 use std::hint::black_box;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -49,34 +49,33 @@ fn bench_persist(c: &mut Criterion) {
     let config = ChaseConfig::default();
     let pairs = repeated_subquery_pairs();
     let root = scratch_root();
-    let session_over = |cache: Arc<ChaseCache>| {
-        BatchSession::new(sigma.clone(), schema.clone(), config).with_cache(cache)
+    // Boolean verdicts only, as in the `equiv_batch` bench.
+    let solver_over = |cache: Arc<ChaseCache>| {
+        Solver::builder(sigma.clone(), schema.clone())
+            .chase_config(config)
+            .counterexamples(false)
+            .cache(cache)
+            .build()
     };
 
     let mut group = c.benchmark_group("persist/cnb_repeated");
     group.sample_size(10);
 
     group.bench_function("cold_disk", |b| {
-        b.iter(|| {
-            let session = session_over(persistent_cache(fresh_dir(&root)));
-            black_box(session.run(&pairs))
-        })
+        b.iter(|| black_box(solver_over(persistent_cache(fresh_dir(&root))).decide_all(&pairs)))
     });
 
     // One directory populated untimed; every restart_warm iteration pays
     // startup recovery over it plus disk-hit promotion for each α-class.
     let warm_dir = fresh_dir(&root);
-    session_over(persistent_cache(warm_dir.clone())).run(&pairs);
+    solver_over(persistent_cache(warm_dir.clone())).decide_all(&pairs);
     group.bench_function("restart_warm", |b| {
-        b.iter(|| {
-            let session = session_over(persistent_cache(warm_dir.clone()));
-            black_box(session.run(&pairs))
-        })
+        b.iter(|| black_box(solver_over(persistent_cache(warm_dir.clone())).decide_all(&pairs)))
     });
 
-    let warm = session_over(persistent_cache(fresh_dir(&root)));
-    warm.run(&pairs); // populate memory tier and log, untimed
-    group.bench_function("warm_memory", |b| b.iter(|| black_box(warm.run(&pairs))));
+    let warm = solver_over(persistent_cache(fresh_dir(&root)));
+    warm.decide_all(&pairs); // populate memory tier and log, untimed
+    group.bench_function("warm_memory", |b| b.iter(|| black_box(warm.decide_all(&pairs))));
 
     group.finish();
     let _ = std::fs::remove_dir_all(&root);

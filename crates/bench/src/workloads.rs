@@ -11,7 +11,7 @@ use eqsql_gen::rename_isomorphic;
 use eqsql_net::Client;
 use eqsql_obs::{Histogram, HistogramSummary};
 use eqsql_relalg::{Schema, Semantics};
-use eqsql_service::{EquivRequest, Request, Solver};
+use eqsql_service::{Request, RequestOpts, Solver};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::io;
@@ -48,11 +48,12 @@ pub fn workload_schema() -> Schema {
 }
 
 /// Every safe subquery of Q1's body vs Q4, twice (α-renamed), per
-/// semantics — 118 pairs. This is exactly what the backchase issues: many
-/// structurally overlapping candidates re-chased over one fixed Σ, with
-/// Q4 recurring in every pair. Deterministic (fixed seed), so the
-/// committed `equiv_batch.req` fixture reproduces it byte for byte.
-pub fn repeated_subquery_pairs() -> Vec<EquivRequest> {
+/// semantics — 118 [`Request::Equivalent`] pairs. This is exactly what
+/// the backchase issues: many structurally overlapping candidates
+/// re-chased over one fixed Σ, with Q4 recurring in every pair.
+/// Deterministic (fixed seed), so the committed `equiv_batch.req` fixture
+/// reproduces it byte for byte.
+pub fn repeated_subquery_pairs() -> Vec<Request> {
     let q1 = parse_query("q1(X) :- p(X,Y), t(X,Y,W), s(X,Z), r(X), u(X,U)").unwrap();
     let q4 = parse_query("q4(X) :- p(X,Y)").unwrap();
     let mut rng = StdRng::seed_from_u64(41);
@@ -66,11 +67,12 @@ pub fn repeated_subquery_pairs() -> Vec<EquivRequest> {
             continue;
         }
         for sem in [Semantics::Set, Semantics::BagSet] {
-            pairs.push(EquivRequest { sem, q1: candidate.clone(), q2: q4.clone() });
-            pairs.push(EquivRequest {
-                sem,
+            let opts = RequestOpts::with_sem(sem);
+            pairs.push(Request::Equivalent { q1: candidate.clone(), q2: q4.clone(), opts });
+            pairs.push(Request::Equivalent {
                 q1: rename_isomorphic(&mut rng, &candidate),
                 q2: rename_isomorphic(&mut rng, &q4),
+                opts,
             });
         }
     }
@@ -97,12 +99,15 @@ pub fn equiv_batch_request_file() -> String {
     set_valued.sort_unstable();
     out.push_str(&format!("set_valued: {}\n\n", set_valued.join(" ")));
     for pair in repeated_subquery_pairs() {
-        let sem = match pair.sem {
+        let Request::Equivalent { q1, q2, opts } = pair else {
+            unreachable!("the workload holds only equivalence pairs")
+        };
+        let sem = match opts.sem.expect("every workload pair names its semantics") {
             Semantics::Set => "set",
             Semantics::Bag => "bag",
             Semantics::BagSet => "bagset",
         };
-        out.push_str(&format!("pair: {sem} | {} | {}\n", pair.q1, pair.q2));
+        out.push_str(&format!("pair: {sem} | {q1} | {q2}\n"));
     }
     out
 }

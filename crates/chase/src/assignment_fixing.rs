@@ -23,11 +23,10 @@
 //! Full tgds are assignment-fixing w.r.t. every query they apply to
 //! (Proposition 4.3).
 
-use crate::engine::EngineOpts;
+use crate::engine::{chase_indexed, Admission, EngineOpts};
 use crate::error::{ChaseConfig, ChaseError};
 use crate::guard::RunGuard;
-use crate::set_chase::set_chase_opts;
-use crate::step::{applicable_tgd_homs, rename_dep_apart};
+use crate::step::{applicable_tgd_homs, rename_dep_apart, DedupPolicy};
 use crate::test_query::associated_test_query;
 use eqsql_cq::{CqQuery, Subst, Term};
 use eqsql_deps::{Dependency, DependencySet, Tgd};
@@ -36,22 +35,14 @@ use std::collections::HashSet;
 /// Is `tgd` assignment-fixing w.r.t. `q` and the specific applicable
 /// homomorphism `h`? The tgd must be renamed apart from `q` and `h` must
 /// make the chase applicable. Σ should be regularized.
+///
+/// `guard` is polled by the nested test-query chase, so a deadline or
+/// cancellation signalled mid-decision also aborts this (potentially
+/// budget-sized) inner chase promptly; pass [`RunGuard::unguarded`]
+/// outside a guarded decision. The inner chase always runs in reference
+/// order — the guard never changes results, only whether the run
+/// finishes.
 pub fn is_assignment_fixing(
-    q: &CqQuery,
-    sigma: &DependencySet,
-    tgd: &Tgd,
-    h: &Subst,
-    config: &ChaseConfig,
-) -> Result<bool, ChaseError> {
-    is_assignment_fixing_guarded(q, sigma, tgd, h, config, &RunGuard::unguarded())
-}
-
-/// [`is_assignment_fixing`] with a [`RunGuard`] threaded into the nested
-/// test-query chase, so a deadline or cancellation signalled mid-decision
-/// also aborts the (potentially budget-sized) inner chase promptly. The
-/// inner chase always runs in reference order — the guard never changes
-/// results, only whether the run finishes.
-pub fn is_assignment_fixing_guarded(
     q: &CqQuery,
     sigma: &DependencySet,
     tgd: &Tgd,
@@ -64,7 +55,7 @@ pub fn is_assignment_fixing_guarded(
     }
     let tq = associated_test_query(q, tgd, h);
     let opts = EngineOpts::default().guarded(guard.clone());
-    let chased = set_chase_opts(&tq.query, sigma, config, &opts)?;
+    let chased = chase_indexed(&tq.query, sigma, config, &DedupPolicy::All, Admission::All, &opts)?;
     if chased.failed {
         // The double-witness pattern is unsatisfiable under Σ: two distinct
         // extensions can never coexist, so the step fixes assignments
@@ -100,7 +91,7 @@ pub fn is_assignment_fixing_wrt_query(
         return Ok(None);
     }
     for h in &homs {
-        if is_assignment_fixing(q, sigma, tgd_r, h, config)? {
+        if is_assignment_fixing(q, sigma, tgd_r, h, config, &RunGuard::unguarded())? {
             return Ok(Some(true));
         }
     }

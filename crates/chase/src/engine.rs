@@ -123,7 +123,7 @@ pub enum Admission<'a> {
     QueryIndependent(&'a mut dyn FnMut(&Tgd) -> bool),
 }
 
-/// Tuning knobs for [`chase_indexed_opts`]. The default is the
+/// Tuning knobs for [`chase_indexed`]. The default is the
 /// reference-identical configuration ([`EngineOpts::default`]).
 #[derive(Clone, Debug, Default)]
 pub struct EngineOpts {
@@ -432,23 +432,12 @@ fn scan_tgd(
     }
 }
 
-/// Runs the chase with the incremental indexed engine under the default
-/// [`EngineOpts`]: semantics (firing order, budgets, trace, renaming
+/// Runs the chase with the incremental indexed engine. Under the default
+/// [`EngineOpts`] its semantics (firing order, budgets, trace, renaming
 /// bookkeeping) match [`crate::reference::chase_with_policy_reference`]
-/// exactly; see the module docs for why.
+/// exactly; see the module docs for why. `opts` adds delta-seeded premise
+/// search, a run guard and a step probe.
 pub fn chase_indexed(
-    q: &CqQuery,
-    sigma: &DependencySet,
-    config: &ChaseConfig,
-    dedup: &DedupPolicy,
-    admission: Admission<'_>,
-) -> Result<Chased, ChaseError> {
-    chase_indexed_opts(q, sigma, config, dedup, admission, &EngineOpts::default())
-}
-
-/// [`chase_indexed`] with explicit [`EngineOpts`] (delta-seeded premise
-/// search, run guard, step probe).
-pub fn chase_indexed_opts(
     q: &CqQuery,
     sigma: &DependencySet,
     config: &ChaseConfig,
@@ -754,8 +743,7 @@ mod tests {
     ) -> (Result<Chased, ChaseError>, Result<Chased, ChaseError>) {
         let q = parse_query(q).unwrap();
         let sigma = parse_dependencies(sigma).unwrap();
-        let indexed =
-            chase_indexed_opts(&q, &sigma, config, &DedupPolicy::All, Admission::All, opts);
+        let indexed = chase_indexed(&q, &sigma, config, &DedupPolicy::All, Admission::All, opts);
         let reference =
             chase_with_policy_reference(&q, &sigma, config, &DedupPolicy::All, &mut |_, _, _| true);
         (indexed, reference)
@@ -920,9 +908,7 @@ mod tests {
              s(X,Y) & s(X,Z) -> Y = Z.",
         )
         .unwrap();
-        let r =
-            chase_indexed(&q, &sigma, &ChaseConfig::default(), &DedupPolicy::All, Admission::All)
-                .unwrap();
+        let r = crate::set_chase(&q, &sigma, &ChaseConfig::default()).unwrap();
         assert!(eqsql_deps::satisfaction::query_satisfies_all(&r.query, &sigma));
     }
 }

@@ -410,20 +410,13 @@ fn apply_egd_instance_reference(db: &mut Database, egd: &Egd) -> EgdInstanceOutc
 /// until one of them changes, and the lowest queued index fires — the
 /// identical step sequence to [`chase_database_reference`] without the
 /// per-step rescan of all of Σ.
+///
+/// `guard` is polled at every step, so instance chases issued inside a
+/// deadlined or cancellable decision (database repair in the
+/// counterexample search, `Request::ChaseInstance`) abort within one step
+/// of the signal; pass [`RunGuard::unguarded`] otherwise. The guard never
+/// changes the step sequence.
 pub fn chase_database(
-    db: &Database,
-    sigma: &DependencySet,
-    config: &ChaseConfig,
-) -> Result<InstanceChased, ChaseError> {
-    chase_database_guarded(db, sigma, config, &RunGuard::unguarded())
-}
-
-/// [`chase_database`] polling a [`RunGuard`] at every step, so instance
-/// chases issued inside a deadlined or cancellable decision (database
-/// repair in the counterexample search, `Request::ChaseInstance`) abort
-/// within one step of the signal. The guard never changes the step
-/// sequence — with the unguarded guard this is exactly [`chase_database`].
-pub fn chase_database_guarded(
     db: &Database,
     sigma: &DependencySet,
     config: &ChaseConfig,
@@ -557,7 +550,7 @@ mod tests {
     fn tgd_repair_adds_tuples_with_nulls() {
         let sigma = parse_dependencies("p(X,Y) -> t(X,Y,W).").unwrap();
         let db = Database::new().with_ints("p", &[[1, 2]]);
-        let r = chase_database(&db, &sigma, &cfg()).unwrap();
+        let r = chase_database(&db, &sigma, &cfg(), &RunGuard::unguarded()).unwrap();
         assert!(!r.failed);
         assert!(db_satisfies_all(&r.db, &sigma));
         let t = r.db.get_str("t").unwrap();
@@ -577,7 +570,7 @@ mod tests {
         .unwrap();
         let mut db = Database::new().with_ints("p", &[[1, 2]]);
         db.insert_ints("t", [1, 9]);
-        let r = chase_database(&db, &sigma, &cfg()).unwrap();
+        let r = chase_database(&db, &sigma, &cfg(), &RunGuard::unguarded()).unwrap();
         assert!(!r.failed);
         assert!(db_satisfies_all(&r.db, &sigma));
         // No null survives: the tgd's witness merged into the constant 9.
@@ -590,7 +583,7 @@ mod tests {
     fn egd_failure_on_constants() {
         let sigma = parse_dependencies("t(X,W) & t(X,V) -> W = V.").unwrap();
         let db = Database::new().with_ints("t", &[[1, 3], [1, 4]]);
-        let r = chase_database(&db, &sigma, &cfg()).unwrap();
+        let r = chase_database(&db, &sigma, &cfg(), &RunGuard::unguarded()).unwrap();
         assert!(r.failed);
     }
 
@@ -598,7 +591,7 @@ mod tests {
     fn shared_existentials_get_one_null() {
         let sigma = parse_dependencies("p(X) -> a(X,Z) & b(Z,X).").unwrap();
         let db = Database::new().with_ints("p", &[[7]]);
-        let r = chase_database(&db, &sigma, &cfg()).unwrap();
+        let r = chase_database(&db, &sigma, &cfg(), &RunGuard::unguarded()).unwrap();
         let a = r.db.get_str("a").unwrap().core_set().next().unwrap().clone();
         let b = r.db.get_str("b").unwrap().core_set().next().unwrap().clone();
         assert_eq!(a[1], b[0], "the shared existential Z must be one null");
@@ -616,7 +609,7 @@ mod tests {
         )
         .unwrap();
         let db = Database::new().with_ints("p", &[[1, 2], [5, 6]]);
-        let r = chase_database(&db, &sigma, &cfg()).unwrap();
+        let r = chase_database(&db, &sigma, &cfg(), &RunGuard::unguarded()).unwrap();
         assert!(!r.failed);
         assert!(db_satisfies_all(&r.db, &sigma));
         // Two p-rows mean (at least) two r-, s-, t- and u-rows.
@@ -629,7 +622,9 @@ mod tests {
     fn budget_guard_on_non_terminating_sigma() {
         let sigma = parse_dependencies("e(X,Y) -> e(Y,Z).").unwrap();
         let db = Database::new().with_ints("e", &[[1, 2]]);
-        let err = chase_database(&db, &sigma, &ChaseConfig::with_max_steps(30)).unwrap_err();
+        let err =
+            chase_database(&db, &sigma, &ChaseConfig::with_max_steps(30), &RunGuard::unguarded())
+                .unwrap_err();
         assert!(matches!(err, ChaseError::BudgetExhausted { .. }));
         // And the reference driver exhausts the identical budget.
         let err_ref =
@@ -690,7 +685,7 @@ mod tests {
                 db.insert_ints("c", [rng.below(3) as i64]);
             }
             let cfg = ChaseConfig::with_max_steps(200);
-            let fast = chase_database(&db, &sigma, &cfg);
+            let fast = chase_database(&db, &sigma, &cfg, &RunGuard::unguarded());
             let slow = chase_database_reference(&db, &sigma, &cfg);
             match (fast, slow) {
                 (Ok(f), Ok(s)) => {

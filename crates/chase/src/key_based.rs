@@ -9,7 +9,7 @@
 //! strictly more general assignment-fixing criterion. We keep key-basedness
 //! for comparison and for the ablation benchmarks.
 
-use crate::engine::{chase_indexed, Admission};
+use crate::engine::{chase_indexed, Admission, EngineOpts};
 use crate::error::{ChaseConfig, ChaseError};
 use crate::set_chase::Chased;
 use crate::step::DedupPolicy;
@@ -69,6 +69,7 @@ pub fn key_based_chase(
         config,
         &DedupPolicy::SetValuedOnly(set_preds),
         Admission::QueryIndependent(&mut |tgd| is_key_based(tgd, &sigma_reg, schema)),
+        &EngineOpts::default(),
     )
 }
 

@@ -32,10 +32,11 @@
 //! per-dependency compiled [`eqsql_cq::ArenaPlan`]s searched first-match
 //! over a reusable [`eqsql_cq::ArenaFrame`] with the
 //! conclusion-extension check seeded in, and delta-driven (semi-naive)
-//! dependency scheduling. [`mod@set_chase`], [`sound_chase`] and
-//! [`key_based_chase`] are thin entry points over it; [`EngineOpts`]
-//! opts into delta-*seeded* premise search (budget-exhaustion
-//! asymptotics). The original
+//! dependency scheduling. Its one entry point, [`chase_indexed`], takes a
+//! dedup policy, an [`Admission`] mode and [`EngineOpts`] (delta-*seeded*
+//! premise search for budget-exhaustion asymptotics, a run guard, a step
+//! probe). [`set_chase()`], [`sound_chase_prepared_opts`] and
+//! [`key_based_chase`] are thin wrappers over it. The original
 //! naive restart-scan driver survives as [`mod@reference`] — the
 //! differential-testing oracle (`tests/tests/engine_differential.rs`)
 //! that pins the engine to the paper's step semantics, with the
@@ -61,19 +62,15 @@ pub mod sound;
 pub mod step;
 pub mod test_query;
 
-pub use assignment_fixing::{
-    is_assignment_fixing, is_assignment_fixing_guarded, is_assignment_fixing_wrt_query,
-};
-pub use engine::{chase_indexed, chase_indexed_opts, Admission, EngineOpts};
+pub use assignment_fixing::{is_assignment_fixing, is_assignment_fixing_wrt_query};
+pub use engine::{chase_indexed, Admission, EngineOpts};
 pub use error::{ChaseConfig, ChaseError};
 pub use guard::{Cancel, Fault, FaultPlan, RunGuard};
 pub use implication::{implies, minimal_cover};
 pub use index::BodyIndex;
-pub use instance::{
-    chase_database, chase_database_guarded, chase_database_reference, InstanceChased,
-};
+pub use instance::{chase_database, chase_database_reference, InstanceChased};
 pub use key_based::{is_key_based, key_based_chase};
 pub use max_subset::{max_bag_set_sigma_subset, max_bag_sigma_subset};
 pub use reference::{chase_with_policy_reference, set_chase_reference};
-pub use set_chase::{chase_with_policy_opts, set_chase, set_chase_opts, Chased};
+pub use set_chase::{set_chase, Chased};
 pub use sound::{sound_chase, sound_chase_prepared, sound_chase_prepared_opts, SoundChased};

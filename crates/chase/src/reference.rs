@@ -29,8 +29,9 @@ pub fn set_chase_reference(
     chase_with_policy_reference(q, sigma, config, &DedupPolicy::All, &mut |_, _, _| true)
 }
 
-/// [`crate::set_chase::chase_with_policy_opts`] on the naive driver: full Σ
-/// rescan per step, homomorphism sets materialized up front.
+/// [`crate::engine::chase_indexed`] with [`crate::Admission::Custom`] on
+/// the naive driver: full Σ rescan per step, homomorphism sets
+/// materialized up front.
 pub fn chase_with_policy_reference(
     q: &CqQuery,
     sigma: &DependencySet,

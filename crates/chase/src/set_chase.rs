@@ -7,11 +7,13 @@
 //! the result is unique up to set-equivalence in the absence of
 //! dependencies \[10\].
 //!
-//! The entry points here are thin wrappers over the incremental indexed
-//! engine ([`crate::engine`]); the original naive driver survives as
-//! [`crate::reference`], the differential-testing oracle.
+//! [`set_chase`] is the set-semantics convenience over the incremental
+//! indexed engine ([`crate::engine::chase_indexed`], which takes a dedup
+//! policy, an admission mode and [`EngineOpts`]); the original naive
+//! driver survives as [`crate::reference`], the differential-testing
+//! oracle.
 
-use crate::engine::{chase_indexed, chase_indexed_opts, Admission, EngineOpts};
+use crate::engine::{chase_indexed, Admission, EngineOpts};
 use crate::error::{ChaseConfig, ChaseError};
 use crate::step::DedupPolicy;
 use eqsql_cq::{CqQuery, Subst};
@@ -66,41 +68,7 @@ pub fn set_chase(
     sigma: &DependencySet,
     config: &ChaseConfig,
 ) -> Result<Chased, ChaseError> {
-    chase_indexed(q, sigma, config, &DedupPolicy::All, Admission::All)
-}
-
-/// [`set_chase`] with explicit engine options — delta-seeded premise
-/// search for budget-exhaustion shapes, a run guard, a step probe. With
-/// [`EngineOpts::default`] this is exactly [`set_chase`]; delta seeding
-/// trades the reference-identical step order for asymptotic wins
-/// (results stay Σ-equivalent — see the engine docs).
-pub fn set_chase_opts(
-    q: &CqQuery,
-    sigma: &DependencySet,
-    config: &ChaseConfig,
-    opts: &EngineOpts,
-) -> Result<Chased, ChaseError> {
-    chase_indexed_opts(q, sigma, config, &DedupPolicy::All, Admission::All, opts)
-}
-
-/// The general chase driver, parameterized by dedup policy, a per-step
-/// admission predicate (used by the sound chase to filter tgd steps) and
-/// [`EngineOpts`].
-///
-/// `admit(tgd, query, hom)` decides whether an *applicable* tgd step may
-/// fire; the tgd passed in is already renamed apart from the query, and
-/// `hom` maps its premise into the query body. Egd steps always fire (they
-/// are sound under every semantics — Theorems 4.1(2)/4.3(2)). Delta
-/// seeding applies with the conservative custom-admission watermarks.
-pub fn chase_with_policy_opts(
-    q: &CqQuery,
-    sigma: &DependencySet,
-    config: &ChaseConfig,
-    dedup: &DedupPolicy,
-    admit: &mut dyn FnMut(&eqsql_deps::Tgd, &CqQuery, &Subst) -> bool,
-    opts: &EngineOpts,
-) -> Result<Chased, ChaseError> {
-    chase_indexed_opts(q, sigma, config, dedup, Admission::Custom(admit), opts)
+    chase_indexed(q, sigma, config, &DedupPolicy::All, Admission::All, &EngineOpts::default())
 }
 
 #[cfg(test)]

@@ -15,10 +15,10 @@
 //!   (Theorem 5.1 for bag, Theorem G.1 for bag-set) and the chase
 //!   terminates whenever set-chase does (Proposition 5.1).
 
-use crate::assignment_fixing::is_assignment_fixing_guarded;
-use crate::engine::EngineOpts;
+use crate::assignment_fixing::is_assignment_fixing;
+use crate::engine::{chase_indexed, Admission, EngineOpts};
 use crate::error::{ChaseConfig, ChaseError};
-use crate::set_chase::{chase_with_policy_opts, set_chase_opts, Chased};
+use crate::set_chase::Chased;
 use crate::step::DedupPolicy;
 use eqsql_cq::{CqQuery, Predicate};
 use eqsql_deps::regularize::regularize_set;
@@ -87,8 +87,8 @@ pub fn sound_chase(
 /// [`sound_chase`] over an **already regularized** Σ.
 ///
 /// Regularization (Definition 4.1) depends only on Σ, so callers issuing
-/// many chases over one fixed dependency set — the batched equivalence
-/// sessions of `eqsql_service`, the C&B backchase — compute
+/// many chases over one fixed dependency set — the chase cache of
+/// `eqsql_service`, the C&B backchase — compute
 /// [`regularize_set`] once and feed the result here instead of paying for
 /// it on every chase. Passing a non-regularized set is sound for set
 /// semantics but loses completeness under bag/bag-set semantics
@@ -117,15 +117,17 @@ pub fn sound_chase_prepared_opts(
     opts: &EngineOpts,
 ) -> Result<SoundChased, ChaseError> {
     let chased = match sem {
-        Semantics::Set => set_chase_opts(q, &sigma_reg, config, opts)?,
+        Semantics::Set => {
+            chase_indexed(q, &sigma_reg, config, &DedupPolicy::All, Admission::All, opts)?
+        }
         Semantics::BagSet => {
             let mut af_err: Option<ChaseError> = None;
-            let res = chase_with_policy_opts(
+            let res = chase_indexed(
                 q,
                 &sigma_reg,
                 config,
                 &DedupPolicy::All,
-                &mut |tgd, cur, h| match is_assignment_fixing_guarded(
+                Admission::Custom(&mut |tgd, cur, h| match is_assignment_fixing(
                     cur,
                     &sigma_reg,
                     tgd,
@@ -138,7 +140,7 @@ pub fn sound_chase_prepared_opts(
                         af_err = Some(e);
                         false
                     }
-                },
+                }),
                 opts,
             );
             if let Some(e) = af_err {
@@ -149,24 +151,23 @@ pub fn sound_chase_prepared_opts(
         Semantics::Bag => {
             let set_preds: HashSet<Predicate> = schema.set_valued_relations().into_iter().collect();
             let mut af_err: Option<ChaseError> = None;
-            let res = chase_with_policy_opts(
+            let res = chase_indexed(
                 q,
                 &sigma_reg,
                 config,
                 &DedupPolicy::SetValuedOnly(set_preds.clone()),
-                &mut |tgd, cur, h| {
+                Admission::Custom(&mut |tgd, cur, h| {
                     if !tgd.rhs.iter().all(|a| set_preds.contains(&a.pred)) {
                         return false; // Theorem 4.1(1): added subgoals must be set-valued
                     }
-                    match is_assignment_fixing_guarded(cur, &sigma_reg, tgd, h, config, &opts.guard)
-                    {
+                    match is_assignment_fixing(cur, &sigma_reg, tgd, h, config, &opts.guard) {
                         Ok(b) => b,
                         Err(e) => {
                             af_err = Some(e);
                             false
                         }
                     }
-                },
+                }),
                 opts,
             );
             if let Some(e) = af_err {

@@ -19,7 +19,7 @@
 use crate::minimality::is_sigma_minimal_via;
 use crate::sigma_equiv::{sigma_equivalent_via, DirectChaser, EquivOutcome, SoundChaser};
 use eqsql_chase::{ChaseConfig, ChaseError};
-use eqsql_cq::{are_isomorphic, CqQuery, Term};
+use eqsql_cq::{are_isomorphic, CqQuery};
 use eqsql_deps::DependencySet;
 use eqsql_relalg::{Schema, Semantics};
 use std::fmt;
@@ -182,18 +182,6 @@ pub fn render_reformulations(r: &CnbResult) -> Vec<String> {
 /// Do the reformulations contain a query isomorphic to `q`?
 pub fn contains_isomorph(result: &CnbResult, q: &CqQuery) -> bool {
     result.reformulations.iter().any(|r| are_isomorphic(r, q))
-}
-
-/// Do the reformulations contain a query set-equivalent to `q` (useful
-/// when variable-collapse makes isomorphism too strict)?
-pub fn contains_set_equivalent(result: &CnbResult, q: &CqQuery) -> bool {
-    result.reformulations.iter().any(|r| crate::equiv::set_equivalent(r, q))
-}
-
-/// Heads with constants cannot lose their binding atoms; helper used by
-/// the aggregate wrappers to re-target heads.
-pub fn head_is_all_vars(q: &CqQuery) -> bool {
-    q.head.iter().all(|t| matches!(t, Term::Var(_)))
 }
 
 #[cfg(test)]

@@ -28,7 +28,7 @@
 //! and to separate the queries) but not complete; `None` means "no witness
 //! found among the candidates", not a proof of equivalence.
 
-use eqsql_chase::instance::chase_database_guarded;
+use eqsql_chase::instance::chase_database;
 use eqsql_chase::ChaseConfig;
 use eqsql_cq::{CqQuery, Predicate};
 use eqsql_deps::satisfaction::db_satisfies_all;
@@ -176,7 +176,7 @@ pub fn separating_database_via<C: crate::sigma_equiv::SoundChaser + ?Sized>(
         .map(|q| canonical_database(&eqsql_cq::canonical_representation(q), 1000).db);
     doubled
         .chain(raw)
-        .filter_map(|db| match chase_database_guarded(&db, sigma, config, &guard) {
+        .filter_map(|db| match chase_database(&db, sigma, config, &guard) {
             Ok(r) if !r.failed => Some(r.db),
             _ => None,
         })

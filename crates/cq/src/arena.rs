@@ -418,11 +418,6 @@ impl ArenaPlan {
         self.vars.iter().position(|w| *w == v).map(|s| s as u32)
     }
 
-    /// The source variables in slot order.
-    pub fn slot_vars(&self) -> &[Var] {
-        &self.vars
-    }
-
     /// Compiles the seed map `self slot ← src slot` for every variable the
     /// two plans share (tgd conclusion ← premise).
     pub fn seed_map_from(&self, src: &ArenaPlan) -> SeedMap {

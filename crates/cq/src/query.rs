@@ -109,13 +109,6 @@ impl CqQuery {
         (self.apply(&s), s)
     }
 
-    /// Returns a copy whose body has `atom` appended.
-    pub fn with_atom(&self, atom: Atom) -> CqQuery {
-        let mut q = self.clone();
-        q.body.push(atom);
-        q
-    }
-
     /// Total size: number of body atoms.
     pub fn size(&self) -> usize {
         self.body.len()
@@ -165,15 +158,6 @@ impl VarSupply {
     pub fn record_query(&mut self, q: &CqQuery) {
         for v in q.all_vars() {
             self.used.insert(v.0);
-        }
-    }
-
-    /// Records the variables of the atoms as used.
-    pub fn record_atoms(&mut self, atoms: &[Atom]) {
-        for a in atoms {
-            for v in a.vars() {
-                self.used.insert(v.0);
-            }
         }
     }
 

@@ -1,7 +1,7 @@
 //! Random bag databases and their Σ-repairs.
 
 use eqsql_chase::instance::chase_database;
-use eqsql_chase::ChaseConfig;
+use eqsql_chase::{ChaseConfig, RunGuard};
 use eqsql_deps::DependencySet;
 use eqsql_relalg::{Database, Schema, Tuple};
 use rand::Rng;
@@ -59,7 +59,7 @@ pub fn repaired_database<R: Rng>(
     config: &ChaseConfig,
 ) -> Option<Database> {
     let db = random_database(rng, schema, p);
-    match chase_database(&db, sigma, config) {
+    match chase_database(&db, sigma, config, &RunGuard::unguarded()) {
         Ok(r) if !r.failed => {
             // The repair may have added tuples with multiplicities on
             // set-valued relations? No: tgd repairs insert distinct

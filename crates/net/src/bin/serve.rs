@@ -324,7 +324,7 @@ fn main() -> ExitCode {
             })
         });
         for run in 0..args.repeat {
-            let report = solver.decide_all_with(&request.requests, &batch_opts);
+            let report = solver.decide_all_streaming(&request.requests, &batch_opts, &|_| {});
             if run == 0 && !args.quiet {
                 for (req, verdict) in request.requests.iter().zip(report.verdicts.iter()) {
                     println!("{}", render(req, verdict));

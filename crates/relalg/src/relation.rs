@@ -103,14 +103,6 @@ impl Relation {
         v
     }
 
-    /// Bag union: adds all of `other` into `self`.
-    pub fn union_in_place(&mut self, other: &Relation) {
-        assert_eq!(self.arity, other.arity);
-        for (t, m) in other.iter() {
-            self.insert(t.clone(), m);
-        }
-    }
-
     /// Bag projection on `positions` (Appendix E.1): each copy of each tuple
     /// contributes one projected copy.
     pub fn project(&self, positions: &[usize]) -> Relation {

@@ -33,7 +33,7 @@
 //! ## Concurrency
 //!
 //! The cache is sharded by key; each shard is an independent mutex, so
-//! worker threads of a [`crate::batch::BatchSession`] rarely contend.
+//! the worker threads of a [`crate::Solver`] batch rarely contend.
 //! Chases run *outside* any lock — a racing duplicate computation is
 //! possible (and harmless: last writer wins, the loser's result is simply
 //! returned uncached). Hit/miss/eviction counters are atomics. Eviction is
@@ -396,71 +396,19 @@ impl ChaseCache {
 
 impl ChaseCache {
     /// The cache's core path, with the per-Σ work hoisted out: `ctx` is
-    /// the [`crate::canon::context_fingerprint`] and `sigma_reg` the regularized Σ, both
-    /// computed once per session rather than per chase. The generic
-    /// [`SoundChaser`] impl derives them on every call; batch sessions use
-    /// this directly so the *hit* path touches Σ not at all.
-    pub fn chase_keyed(
-        &self,
-        ctx: &ChaseContext,
-        sigma_reg: &Arc<DependencySet>,
-        sem: Semantics,
-        q: &CqQuery,
-        schema: &Schema,
-        config: &ChaseConfig,
-    ) -> Result<SoundChased, ChaseError> {
-        self.chase_keyed_counted(ctx, sigma_reg, sem, q, schema, config).0
-    }
-
-    /// [`ChaseCache::chase_keyed`], additionally reporting whether the
-    /// probe hit. Batch sessions use the flag for *exact* per-run hit/miss
-    /// attribution — the global counters mix in every concurrent session
-    /// sharing the cache.
-    pub fn chase_keyed_counted(
-        &self,
-        ctx: &ChaseContext,
-        sigma_reg: &Arc<DependencySet>,
-        sem: Semantics,
-        q: &CqQuery,
-        schema: &Schema,
-        config: &ChaseConfig,
-    ) -> (Result<SoundChased, ChaseError>, bool) {
-        self.chase_keyed_counted_opts(
-            ctx,
-            sigma_reg,
-            sem,
-            q,
-            schema,
-            config,
-            &EngineOpts::default(),
-        )
-    }
-
-    /// [`ChaseCache::chase_keyed_counted`] with explicit [`EngineOpts`].
-    /// The caller's `ctx` must have been built with the matching
-    /// `delta_seeding` flag — delta-seeded terminals are only Σ-equivalent
-    /// to reference terminals, so the two populations must not share cache
+    /// the [`crate::canon::context_fingerprint`] and `sigma_reg` the
+    /// regularized Σ, both computed once per Solver rather than per chase,
+    /// so the *hit* path touches Σ not at all (the [`SoundChaser`] impl
+    /// derives them on every call). Reports *where* the probe was
+    /// answered ([`CacheOutcome`]) — the attribution point for per-request
+    /// tracing, exact even when other solvers share the cache.
+    ///
+    /// The caller's `ctx` must have been built with the `delta_seeding`
+    /// flag of `opts`: delta-seeded terminals are only Σ-equivalent to
+    /// reference terminals, so the two populations must not share cache
     /// entries (the flag is part of the context key for exactly this
-    /// reason; probe counts never change results and are not keyed).
-    #[allow(clippy::too_many_arguments)]
-    pub fn chase_keyed_counted_opts(
-        &self,
-        ctx: &ChaseContext,
-        sigma_reg: &Arc<DependencySet>,
-        sem: Semantics,
-        q: &CqQuery,
-        schema: &Schema,
-        config: &ChaseConfig,
-        opts: &EngineOpts,
-    ) -> (Result<SoundChased, ChaseError>, bool) {
-        let (result, outcome) =
-            self.chase_keyed_attributed(ctx, sigma_reg, sem, q, schema, config, opts);
-        (result, outcome.is_hit())
-    }
-
-    /// [`ChaseCache::chase_keyed_counted_opts`], reporting *where* the
-    /// probe was answered ([`CacheOutcome`]) instead of a bare hit flag —
-    /// the attribution point for per-request tracing.
+    /// reason; the guard and probe never change results and are not
+    /// keyed).
     #[allow(clippy::too_many_arguments)]
     pub fn chase_keyed_attributed(
         &self,
@@ -542,7 +490,8 @@ impl SoundChaser for ChaseCache {
     ) -> Result<SoundChased, ChaseError> {
         let (sigma_reg, reg_text) = self.regularized_with_text(sigma);
         let ctx = ChaseContext::with_text(sem, reg_text, schema, config, false);
-        self.chase_keyed(&ctx, &sigma_reg, sem, q, schema, config)
+        let opts = EngineOpts::default();
+        self.chase_keyed_attributed(&ctx, &sigma_reg, sem, q, schema, config, &opts).0
     }
 }
 

@@ -217,7 +217,7 @@ pub fn query_fingerprint(q: &CqQuery) -> u64 {
 /// every probe), a context fingerprint collision cannot be detected after
 /// the fact, so cache entries compare contexts field-for-field via
 /// [`ChaseContext::same`] before being trusted. Construct once per
-/// (Σ, semantics) — a `BatchSession` holds one per semantics — and reuse;
+/// (Σ, semantics) — a [`crate::Solver`] holds one per semantics — and reuse;
 /// construction renders Σ to text.
 #[derive(Clone, Debug)]
 pub struct ChaseContext {

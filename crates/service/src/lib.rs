@@ -9,24 +9,24 @@
 //! dependency-free tests. This crate is their single public entry point
 //! and the layer that removes redundant chase work:
 //!
-//! * [`solver`] — the façade. A [`SolverBuilder`] captures default
-//!   semantics, chase budgets, engine knobs
-//!   ([`eqsql_chase::EngineOpts`]: delta seeding),
+//! * [`solver`] — the façade. A [`SolverBuilder`] captures chase
+//!   budgets, engine knobs ([`eqsql_chase::EngineOpts`]: delta seeding),
 //!   cache sizing and worker threads; [`Solver::decide`] answers any
 //!   [`Request`] with a typed [`Verdict`] whose [`Answer`] carries
-//!   machine-checkable evidence; [`Solver::decide_all`] dispatches a
-//!   batch across a worker pool ([`Solver::decide_all_with`] adds
-//!   deadlines, cancellation, admission control and retry —
-//!   [`BatchOptions`]); [`Solver::stats`] is one coherent counter
-//!   snapshot. Failures surface through the unified [`Error`] taxonomy
-//!   of [`error`] — parse, budget, egd-failure, unsupported-semantics,
-//!   deadline, cancellation, shed, internal — regardless of which crate
-//!   they began in.
+//!   machine-checkable evidence (a request without a semantics is
+//!   decided under set semantics); [`Solver::decide_all`] dispatches a
+//!   batch across a worker pool ([`Solver::decide_all_streaming`] adds
+//!   per-request completion callbacks, deadlines, cancellation, admission
+//!   control and retry — [`BatchOptions`]); [`Solver::stats`] is one
+//!   coherent counter snapshot. Failures surface through the unified
+//!   [`Error`] taxonomy of [`error`] — parse, budget, egd-failure,
+//!   unsupported-semantics, deadline, cancellation, shed, internal —
+//!   regardless of which crate they began in.
 //!
 //!   ```
 //!   use eqsql_cq::parse_query;
 //!   use eqsql_deps::parse_dependencies;
-//!   use eqsql_relalg::{Schema, Semantics};
+//!   use eqsql_relalg::Schema;
 //!   use eqsql_service::{Answer, Request, RequestOpts, Solver};
 //!
 //!   let sigma = parse_dependencies(
@@ -35,10 +35,7 @@
 //!   let mut schema = Schema::all_bags(&[("p", 2), ("s", 2)]);
 //!   schema.mark_set_valued(eqsql_cq::Predicate::new("s"));
 //!
-//!   let solver = Solver::builder(sigma, schema)
-//!       .default_semantics(Semantics::Set)
-//!       .threads(2)
-//!       .build();
+//!   let solver = Solver::builder(sigma, schema).threads(2).build();
 //!   let req = Request::Equivalent {
 //!       q1: parse_query("q(X) :- p(X,Y)").unwrap(),
 //!       q2: parse_query("q(X) :- p(X,Y), s(X,Z)").unwrap(),
@@ -64,8 +61,6 @@
 //!   terminal results (see the cache-key soundness notes in [`cache`]),
 //!   with an optional disk tier ([`cache::persist`]) that survives
 //!   restarts;
-//! * [`batch`] — [`BatchSession`], the legacy pairwise-equivalence batch
-//!   API, now a thin veneer over a counterexample-free [`Solver`];
 //! * [`request`] — the newline-delimited request-file format of the
 //!   `eqsql-serve` binary, covering the full verb family (`pair`/
 //!   `equivalent`, `contains`, `minimal`, `cnb`, `implies`) with
@@ -89,8 +84,8 @@
 //!
 //! ## Persistence format & recovery guarantees
 //!
-//! With [`CacheConfig::persist`] set (or [`SolverBuilder::cache_dir`], or
-//! `eqsql-serve --cache-dir`), terminal chase results survive restarts in
+//! With [`CacheConfig::persist`] set (through [`SolverBuilder::cache_config`]
+//! or `eqsql-serve --cache-dir`), terminal chase results survive restarts in
 //! an append-only record log plus a periodically compacted snapshot:
 //!
 //! * **Record layout.** Both files open with an 8-byte magic and a
@@ -218,7 +213,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod batch;
 pub mod cache;
 pub mod canon;
 pub mod error;
@@ -226,7 +220,6 @@ pub mod evidence;
 pub mod request;
 pub mod solver;
 
-pub use batch::{BatchOutcome, BatchSession, BatchStats, EquivRequest};
 // Re-exported so Solver callers can speak the façade's full vocabulary
 // (semantics, budgets, engine knobs) without importing substrate crates.
 pub use cache::persist::{PersistConfig, PersistFault, PersistStats};

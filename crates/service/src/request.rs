@@ -29,8 +29,9 @@
 //! holds whitespace-separated tokens: a semantics (`set|bag|bagset`),
 //! per-request budget overrides (`max_steps=N`, `max_atoms=N`), and/or a
 //! per-request wall-clock deadline (`deadline_ms=N`; `0` means already
-//! expired) — they populate [`crate::RequestOpts`], falling back to the
-//! Solver's defaults when absent. `pair:` is an alias of `equivalent:`.
+//! expired) — they populate [`crate::RequestOpts`]. Without a semantics a
+//! request is decided under set semantics; without budget overrides it
+//! runs under the file's budgets. `pair:` is an alias of `equivalent:`.
 //!
 //! The schema is inferred: every predicate/arity mentioned in Σ, in a
 //! query, or in an `implies:` dependency becomes a (bag-valued) relation,

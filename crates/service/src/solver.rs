@@ -30,10 +30,10 @@
 //! ```
 //!
 //! A [`SolverBuilder`] captures everything that used to be passed
-//! piecemeal — default semantics, chase budgets, engine knobs
-//! ([`EngineOpts`]: delta seeding), cache configuration
-//! and worker-thread count. A [`Request`] names the decision (with
-//! optional per-request semantics/budget overrides), and the answer is a
+//! piecemeal — chase budgets, engine knobs ([`EngineOpts`]: delta
+//! seeding), cache configuration and worker-thread count. A [`Request`]
+//! names the decision (with optional per-request semantics/budget
+//! overrides; set semantics when none is given), and the answer is a
 //! [`Verdict`]: a typed [`Answer`] carrying the certificate the paper's
 //! theorems say must exist (witnessing homomorphisms per containment
 //! direction, the separating database on inequivalence, the reformulated
@@ -52,7 +52,7 @@ use crate::evidence::{
     BagContainmentCertificate, ContainmentCertificate, Counterexample, EquivalenceCertificate,
     ImplicationCounterexample,
 };
-use eqsql_chase::instance::chase_database_guarded;
+use eqsql_chase::instance::chase_database;
 use eqsql_chase::{Cancel, ChaseConfig, ChaseError, EngineOpts, FaultPlan, RunGuard, SoundChased};
 use eqsql_core::bag_containment::{find_non_containment_witness, onto_containment_mapping};
 use eqsql_core::counterexample::separating_database_via;
@@ -70,8 +70,10 @@ use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Per-request overrides: semantics, chase budgets, and a wall-clock
-/// deadline. `None` fields fall back to the Solver's defaults, so
-/// `RequestOpts::default()` means "as configured at build time".
+/// deadline. A `None` semantics means set semantics, and `None` budgets
+/// fall back to the Solver's [`SolverBuilder::chase_config`], so
+/// `RequestOpts::default()` means "set semantics, as configured at build
+/// time".
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RequestOpts {
     /// Semantics override for this request.
@@ -106,7 +108,7 @@ impl RequestOpts {
     }
 }
 
-/// What [`Solver::decide_all_with`] does with requests beyond the
+/// What [`Solver::decide_all_streaming`] does with requests beyond the
 /// admission queue's capacity.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ShedPolicy {
@@ -118,10 +120,11 @@ pub enum ShedPolicy {
     CancelOldest,
 }
 
-/// Bounded admission for [`Solver::decide_all_with`]: at most `capacity`
-/// requests of a batch are admitted; the rest are shed per `policy` at
-/// intake (in request order, before any work starts) and answered with
-/// [`Error::Shed`]. Shedding is counted in [`SolverStats::shed`].
+/// Bounded admission for [`Solver::decide_all_streaming`]: at most
+/// `capacity` requests of a batch are admitted; the rest are shed per
+/// `policy` at intake (in request order, before any work starts) and
+/// answered with [`Error::Shed`]. Shedding is counted in
+/// [`SolverStats::shed`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct AdmissionConfig {
     /// Maximum requests admitted per batch.
@@ -144,9 +147,9 @@ impl AdmissionConfig {
     }
 }
 
-/// Retry-with-escalated-budget for [`Solver::decide_all_with`]: a request
-/// answered [`Error::BudgetExhausted`] — the one *stable* error a bigger
-/// budget can cure — is re-decided with its step and atom budgets
+/// Retry-with-escalated-budget for [`Solver::decide_all_streaming`]: a
+/// request answered [`Error::BudgetExhausted`] — the one *stable* error a
+/// bigger budget can cure — is re-decided with its step and atom budgets
 /// multiplied by `budget_multiplier`, up to `max_attempts` total attempts.
 /// The escalated run uses a distinct cache context (budgets are part of
 /// the context key), so the memoized exhaustion at the smaller budget is
@@ -166,9 +169,10 @@ impl Default for RetryPolicy {
     }
 }
 
-/// The ops envelope of a [`Solver::decide_all_with`] batch: cancellation,
-/// a default deadline, bounded admission, and budget-escalating retry.
-/// `BatchOptions::default()` is exactly [`Solver::decide_all`].
+/// The ops envelope of a [`Solver::decide_all_streaming`] batch:
+/// cancellation, a default deadline, bounded admission, and
+/// budget-escalating retry. `BatchOptions::default()` is exactly
+/// [`Solver::decide_all`].
 #[derive(Clone, Debug, Default)]
 pub struct BatchOptions {
     /// Batch-level cancellation handle: cancelling it aborts every
@@ -667,10 +671,8 @@ pub struct SolverStats {
 pub struct SolverBuilder {
     sigma: DependencySet,
     schema: Schema,
-    sem: Semantics,
     config: ChaseConfig,
     engine: EngineOpts,
-    cnb_opts: CnbOptions,
     cache: Option<Arc<ChaseCache>>,
     cache_config: CacheConfig,
     threads: usize,
@@ -679,30 +681,21 @@ pub struct SolverBuilder {
 }
 
 impl SolverBuilder {
-    /// Starts a builder over Σ and a schema. Defaults: set semantics,
-    /// default chase budgets, reference engine (no delta seeding, one
-    /// probe), a fresh default-sized cache, one worker thread,
-    /// counterexample search enabled.
+    /// Starts a builder over Σ and a schema. Defaults: default chase
+    /// budgets, reference engine (no delta seeding), a fresh default-sized
+    /// cache, one worker thread, counterexample search enabled.
     pub fn new(sigma: DependencySet, schema: Schema) -> SolverBuilder {
         SolverBuilder {
             sigma,
             schema,
-            sem: Semantics::Set,
             config: ChaseConfig::default(),
             engine: EngineOpts::default(),
-            cnb_opts: CnbOptions::default(),
             cache: None,
             cache_config: CacheConfig::default(),
             threads: 1,
             counterexamples: true,
             trace_sink: None,
         }
-    }
-
-    /// The semantics used when a request does not override it.
-    pub fn default_semantics(mut self, sem: Semantics) -> SolverBuilder {
-        self.sem = sem;
-        self
     }
 
     /// Default chase budgets.
@@ -717,12 +710,6 @@ impl SolverBuilder {
         self
     }
 
-    /// Backchase options for [`Request::Reformulate`].
-    pub fn cnb_options(mut self, opts: CnbOptions) -> SolverBuilder {
-        self.cnb_opts = opts;
-        self
-    }
-
     /// Adopts an existing (possibly warm, possibly shared) chase cache.
     pub fn cache(mut self, cache: Arc<ChaseCache>) -> SolverBuilder {
         self.cache = Some(cache);
@@ -732,18 +719,6 @@ impl SolverBuilder {
     /// Sizing for the fresh cache built when none is adopted.
     pub fn cache_config(mut self, config: CacheConfig) -> SolverBuilder {
         self.cache_config = config;
-        self
-    }
-
-    /// Convenience: persist the fresh cache at `dir` with the default
-    /// snapshot cadence (see [`crate::cache::persist::PersistConfig`]).
-    /// A solver restarted over the same directory answers previously
-    /// decided `(Q, Σ)` chases from disk; recovery/discard counters
-    /// surface in [`Solver::stats`]. Ignored when a cache is adopted via
-    /// [`SolverBuilder::cache`]. If the tier cannot be opened the solver
-    /// still builds, degraded to memory-only with `persist.io_errors = 1`.
-    pub fn cache_dir(mut self, dir: impl Into<std::path::PathBuf>) -> SolverBuilder {
-        self.cache_config.persist = Some(crate::cache::persist::PersistConfig::at(dir));
         self
     }
 
@@ -788,10 +763,8 @@ impl SolverBuilder {
         Solver {
             sigma: self.sigma,
             schema: self.schema,
-            sem: self.sem,
             config: self.config,
             engine: self.engine,
-            cnb_opts: self.cnb_opts,
             cache,
             threads: self.threads,
             counterexamples: self.counterexamples,
@@ -815,10 +788,8 @@ impl SolverBuilder {
 pub struct Solver {
     sigma: DependencySet,
     schema: Schema,
-    sem: Semantics,
     config: ChaseConfig,
     engine: EngineOpts,
-    cnb_opts: CnbOptions,
     cache: Arc<ChaseCache>,
     threads: usize,
     counterexamples: bool,
@@ -1002,27 +973,15 @@ impl Solver {
         &self.config
     }
 
-    /// The shared chase-cache handle (e.g. to hand to another Solver or a
-    /// [`crate::BatchSession`]).
+    /// The shared chase-cache handle (e.g. to hand to another Solver).
     pub fn cache(&self) -> &Arc<ChaseCache> {
         &self.cache
-    }
-
-    /// Swaps the cache handle (context keys are cache-independent, so this
-    /// is free). Used by [`crate::BatchSession::with_cache`].
-    pub(crate) fn set_cache(&mut self, cache: Arc<ChaseCache>) {
-        self.cache = cache;
     }
 
     /// Worker threads deciding at once: per [`Solver::decide_all`] batch,
     /// or in a network server's decision pool.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// Adjusts the worker-thread count after construction.
-    pub(crate) fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
     }
 
     /// One coherent counter snapshot: cache hit/miss/eviction plus the
@@ -1084,23 +1043,24 @@ impl Solver {
         }
     }
 
+    /// A request that names no semantics is decided under set semantics.
     fn effective_sem(&self, opts: &RequestOpts) -> Semantics {
-        opts.sem.unwrap_or(self.sem)
+        opts.sem.unwrap_or(Semantics::Set)
     }
 
     /// Decides one request. See [`Request`] for the family and [`Answer`]
     /// for the evidence each verdict carries. The request's own
     /// [`RequestOpts::deadline_ms`] applies; for batch-level cancellation,
-    /// admission and retry, use [`Solver::decide_all_with`].
+    /// admission and retry, use [`Solver::decide_all_streaming`].
     pub fn decide(&self, request: &Request) -> Result<Verdict, Error> {
         self.decide_counted(request, &RunEnv::default()).0
     }
 
-    /// [`Solver::decide_all_with`] under default [`BatchOptions`]: no
-    /// cancellation handle, no batch deadline, admit everything, one
-    /// attempt per request.
+    /// [`Solver::decide_all_streaming`] under default [`BatchOptions`] and
+    /// without a completion hook: no cancellation handle, no batch
+    /// deadline, admit everything, one attempt per request.
     pub fn decide_all(&self, requests: &[Request]) -> BatchReport {
-        self.decide_all_with(requests, &BatchOptions::default())
+        self.decide_all_streaming(requests, &BatchOptions::default(), &|_| {})
     }
 
     /// Decides every request, pulling work from a shared counter across
@@ -1122,18 +1082,15 @@ impl Solver {
     ///   under [`RetryPolicy`]-escalated budgets;
     /// * **cancellation / deadline** — [`BatchOptions::cancel`] and
     ///   [`BatchOptions::deadline_ms`] guard every admitted request.
-    pub fn decide_all_with(&self, requests: &[Request], opts: &BatchOptions) -> BatchReport {
-        self.decide_all_streaming(requests, opts, &|_| {})
-    }
-
-    /// [`Solver::decide_all_with`] plus a per-request completion hook:
+    ///
     /// `on_complete` fires from whichever worker thread finished the
     /// request (or synchronously at intake for shed requests), as soon as
     /// its verdict exists — not at batch end, so a caller can report
-    /// verdicts while the rest of the batch is still deciding. The
-    /// callback must be `Sync` (workers call it concurrently) and should
-    /// be quick: it runs on the worker's time. Each request's trace event
-    /// carries its index in `requests` as `req=`.
+    /// verdicts while the rest of the batch is still deciding; pass
+    /// `&|_| {}` to wait for the [`BatchReport`] alone. The callback must
+    /// be `Sync` (workers call it concurrently) and should be quick: it
+    /// runs on the worker's time. Each request's trace event carries its
+    /// index in `requests` as `req=`.
     pub fn decide_all_streaming(
         &self,
         requests: &[Request],
@@ -1403,8 +1360,7 @@ impl Solver {
             }
             Request::Contained { q1, q2, opts } => {
                 // The request variant fixes the semantics; only an
-                // *explicit* conflicting override errors — the solver's
-                // default semantics never leaks in.
+                // *explicit* conflicting override errors.
                 if let Some(sem) = opts.sem.filter(|&s| s != Semantics::Set) {
                     return Err(Error::UnsupportedSemantics { operation: "set-containment", sem });
                 }
@@ -1433,8 +1389,8 @@ impl Solver {
             }
             Request::Reformulate { q, opts } => {
                 let sem = self.effective_sem(opts);
-                let r =
-                    cnb_via(chaser, sem, q, &self.sigma, &self.schema, &config, &self.cnb_opts)?;
+                let cnb_opts = CnbOptions::default();
+                let r = cnb_via(chaser, sem, q, &self.sigma, &self.schema, &config, &cnb_opts)?;
                 Ok(Answer::Reformulated {
                     universal_plan: r.universal_plan,
                     reformulations: r.reformulations,
@@ -1474,7 +1430,7 @@ impl Solver {
                 }
             }
             Request::ChaseInstance { db, .. } => {
-                let r = chase_database_guarded(db, &self.sigma, &config, &chaser.engine.guard)?;
+                let r = chase_database(db, &self.sigma, &config, &chaser.engine.guard)?;
                 if r.failed {
                     return Err(Error::EgdFailure { operation: "chase-instance" });
                 }
@@ -1728,7 +1684,7 @@ impl Solver {
         config: &ChaseConfig,
         guard: &RunGuard,
     ) -> Option<Database> {
-        match chase_database_guarded(db, sigma, config, guard) {
+        match chase_database(db, sigma, config, guard) {
             Ok(r) if !r.failed => Some(r.db),
             _ => None,
         }
@@ -1867,6 +1823,14 @@ mod tests {
         let v = s.decide(&req).unwrap();
         assert!(matches!(v.answer, Answer::BagNotContained { .. }));
         v.verify(&req, s.sigma(), s.schema()).unwrap();
+        // The variant fixes the semantics: a request that names none is
+        // still bag containment, not refused as a set-semantics request.
+        let req = Request::BagContained {
+            q1: q("q(X) :- p(X,Y)"),
+            q2: q("q(X) :- p(X,Y), p(X,Y)"),
+            opts: RequestOpts::default(),
+        };
+        assert!(matches!(s.decide(&req).unwrap().answer, Answer::BagContained { .. }));
     }
 
     #[test]
@@ -1957,26 +1921,6 @@ mod tests {
         db.insert("s", eqsql_relalg::Tuple::ints([1, 3]), 1);
         let req = Request::ChaseInstance { db, opts: RequestOpts::default() };
         assert_eq!(s.decide(&req).unwrap_err(), Error::EgdFailure { operation: "chase-instance" });
-    }
-
-    #[test]
-    fn request_variant_fixes_semantics_regardless_of_solver_default() {
-        // A bag-default solver must still answer set-containment (and a
-        // set-default solver bag-containment): the variant fixes the
-        // semantics, only an explicit conflicting override errors.
-        let sigma = parse_dependencies("a(X) -> b(X).").unwrap();
-        let schema = Schema::all_bags(&[("a", 1), ("b", 1)]);
-        let s = Solver::builder(sigma, schema).default_semantics(Semantics::Bag).build();
-        let qa = q("q(X) :- a(X)");
-        let qab = q("q(X) :- a(X), b(X)");
-        let v = s
-            .decide(&Request::Contained { q1: qa.clone(), q2: qab, opts: RequestOpts::default() })
-            .unwrap();
-        assert!(matches!(v.answer, Answer::Contained { .. }));
-        let v = s
-            .decide(&Request::BagContained { q1: qa.clone(), q2: qa, opts: RequestOpts::default() })
-            .unwrap();
-        assert!(matches!(v.answer, Answer::BagContained { .. }));
     }
 
     #[test]

@@ -1,14 +1,19 @@
 #!/usr/bin/env bash
 # The repo's verify path: tier-1 (build + tests) plus compile checks for
-# everything tier-1 does not reach — benches (so they cannot silently rot),
-# the examples/experiments binaries, the end-to-end benchmark harness, and
-# rustdoc with warnings denied (so the Solver facade's public API stays
-# documented).
+# everything tier-1 does not reach — every target with warnings denied,
+# benches (so they cannot silently rot), the examples/experiments
+# binaries, the end-to-end benchmark harness, and rustdoc with warnings
+# denied (so the Solver facade's public API stays documented).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "== rustfmt (cargo fmt --check)"
 cargo fmt --check
+
+# Every target, warnings denied: a deletion that leaves a helper, a field or
+# an import unused fails here rather than rotting behind a warning.
+echo "== warnings denied on every target (cargo check --workspace --all-targets)"
+RUSTFLAGS="-D warnings" cargo check -q --workspace --all-targets
 
 echo "== tier-1: cargo build --release"
 cargo build --release -q

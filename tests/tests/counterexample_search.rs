@@ -1,11 +1,13 @@
 //! The separating-database search behind every `NotEquivalent` verdict.
 //!
 //! * **Witness identity.** `tests/fixtures/cex_witness_shapes.txt` records,
-//!   for every pair of `equiv_batch.req` and 200 seeded Appendix-H (m = 4)
-//!   pairs, the verdict and the shape of the attached witness: per
-//!   relation, the number of distinct tuples and the multiplicity sum.
-//!   Shapes do not depend on how constants and nulls are named, so they
-//!   pin *which* candidate the search returned.
+//!   for every pair of `equiv_batch.req`, 200 seeded Appendix-H (m = 4)
+//!   pairs and two bag-semantics pairs over bag-valued relations, the
+//!   verdict and the shape of the attached witness: per relation, the
+//!   number of distinct tuples and the multiplicity sum. Shapes do not
+//!   depend on how constants and nulls are named, so they pin *which*
+//!   candidate the search returned. The bag pairs are separated only by
+//!   an m-copy amplification (Lemma D.1), whose witness repeats a tuple.
 //! * **Laziness.** When the canonical database of the set-chased `q1`
 //!   separates, the search chases nothing else and runs no instance chase.
 //!
@@ -16,7 +18,7 @@ use eqsql_chase::{sound_chase, ChaseConfig, ChaseError, SoundChased};
 use eqsql_core::counterexample::separating_database_via;
 use eqsql_core::{DirectChaser, SoundChaser};
 use eqsql_cq::{parse_query, CqQuery};
-use eqsql_deps::DependencySet;
+use eqsql_deps::{parse_dependencies, DependencySet};
 use eqsql_gen::queries::{random_query, QueryParams};
 use eqsql_gen::{appendix_h_instance, rename_isomorphic};
 use eqsql_relalg::{canonical_database, Database, Schema, Semantics};
@@ -148,18 +150,48 @@ fn appendix_h_requests() -> (DependencySet, Schema, Vec<(Semantics, CqQuery, CqQ
     (h.sigma, h.schema, requests)
 }
 
+/// Bag-semantics pairs over bag-valued relations that differ only in a
+/// duplicated subgoal. Every candidate database with one copy of each
+/// tuple gives both sides the same answers, so only an m-copy
+/// amplification (Lemma D.1) separates them.
+fn bag_amplification_requests() -> (DependencySet, Schema, Vec<(Semantics, CqQuery, CqQuery)>) {
+    let sigma = parse_dependencies("a(X) -> b(X,W).").unwrap();
+    let schema = Schema::all_bags(&[("a", 1), ("b", 2)]);
+    let requests = [
+        ("q(X) :- b(X,Y), b(X,Y)", "q(X) :- b(X,Y)"),
+        ("q(X) :- a(X), b(X,Y), b(X,Y)", "q(X) :- a(X), b(X,Y)"),
+    ]
+    .into_iter()
+    .map(|(q1, q2)| (Semantics::Bag, parse_query(q1).unwrap(), parse_query(q2).unwrap()))
+    .collect();
+    (sigma, schema, requests)
+}
+
+/// Does some relation of a recorded `witness` shape hold more copies than
+/// distinct tuples?
+fn has_repeated_tuple(line: &str) -> bool {
+    let Some((_, shape)) = line.split_once(": witness ") else { return false };
+    shape.split(' ').any(|rel| {
+        let (_, counts) = rel.split_once('=').expect("rel=tuples/sum");
+        let (tuples, sum) = counts.split_once('/').expect("tuples/sum");
+        sum.parse::<u64>().unwrap() > tuples.parse::<u64>().unwrap()
+    })
+}
+
 #[test]
 fn witnesses_match_the_committed_shapes() {
     let mut text = String::from(
-        "# Separating-database shapes of the equivalence verdicts on equiv_batch.req\n\
-         # and on 200 seeded Appendix-H (m=4) pairs: per relation, distinct tuples /\n\
-         # multiplicity sum. Regenerated by the gated test in\n\
-         # tests/tests/counterexample_search.rs.\n",
+        "# Separating-database shapes of the equivalence verdicts on equiv_batch.req,\n\
+         # on 200 seeded Appendix-H (m=4) pairs and on two bag-semantics pairs over\n\
+         # bag-valued relations: per relation, distinct tuples / multiplicity sum.\n\
+         # Regenerated by the gated test in tests/tests/counterexample_search.rs.\n",
     );
     let (sigma, schema, requests) = equiv_batch_requests();
     let batch = record(&mut text, "equiv_batch", &sigma, &schema, &requests);
     let (sigma, schema, requests) = appendix_h_requests();
     let fresh = record(&mut text, "appendix_h", &sigma, &schema, &requests);
+    let (sigma, schema, requests) = bag_amplification_requests();
+    let amplified = record(&mut text, "bag_amplification", &sigma, &schema, &requests);
 
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures/cex_witness_shapes.txt");
     if regen_fixtures() {
@@ -173,8 +205,10 @@ fn witnesses_match_the_committed_shapes() {
     assert_eq!(committed.lines().count(), text.lines().count(), "fixture length drifted");
     // The fixture exercises both the first family (a chased query's
     // canonical database) and the later, repaired candidates.
-    let (chased, other) = (batch.0 + fresh.0, batch.1 + fresh.1);
+    let (chased, other) = (batch.0 + fresh.0 + amplified.0, batch.1 + fresh.1 + amplified.1);
     assert!(chased > 0 && other > 0, "witness mix: {chased} chased-canonical, {other} other");
+    // ... and an amplified one (Lemma D.1): some relation repeats a tuple.
+    assert!(text.lines().any(has_repeated_tuple), "no recorded witness repeats a tuple");
 }
 
 /// A [`SoundChaser`] that counts query chases and hands out one counting

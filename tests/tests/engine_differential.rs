@@ -13,7 +13,10 @@
 
 use eqsql_chase::reference::{chase_with_policy_reference, set_chase_reference};
 use eqsql_chase::step::DedupPolicy;
-use eqsql_chase::{is_assignment_fixing, set_chase, sound_chase, ChaseConfig, ChaseError, Chased};
+use eqsql_chase::{
+    chase_indexed, is_assignment_fixing, set_chase, sound_chase, Admission, ChaseConfig,
+    ChaseError, Chased, EngineOpts, RunGuard,
+};
 use eqsql_cq::{are_isomorphic, parse_query, Atom, CqQuery, Predicate, Term};
 use eqsql_deps::regularize::regularize_set;
 use eqsql_deps::{parse_dependencies, DependencySet};
@@ -75,6 +78,7 @@ fn sound_chase_reference(
     cfg: &ChaseConfig,
 ) -> Result<Chased, ChaseError> {
     let sigma_reg = regularize_set(sigma);
+    let guard = RunGuard::unguarded();
     match sem {
         Semantics::Set => set_chase_reference(q, &sigma_reg, cfg),
         Semantics::BagSet => chase_with_policy_reference(
@@ -82,7 +86,9 @@ fn sound_chase_reference(
             &sigma_reg,
             cfg,
             &DedupPolicy::All,
-            &mut |tgd, cur, h| is_assignment_fixing(cur, &sigma_reg, tgd, h, cfg).unwrap_or(false),
+            &mut |tgd, cur, h| {
+                is_assignment_fixing(cur, &sigma_reg, tgd, h, cfg, &guard).unwrap_or(false)
+            },
         ),
         Semantics::Bag => {
             let set_preds: std::collections::HashSet<Predicate> =
@@ -94,7 +100,8 @@ fn sound_chase_reference(
                 &DedupPolicy::SetValuedOnly(set_preds.clone()),
                 &mut |tgd, cur, h| {
                     tgd.rhs.iter().all(|a| set_preds.contains(&a.pred))
-                        && is_assignment_fixing(cur, &sigma_reg, tgd, h, cfg).unwrap_or(false)
+                        && is_assignment_fixing(cur, &sigma_reg, tgd, h, cfg, &guard)
+                            .unwrap_or(false)
                 },
             )
         }
@@ -266,7 +273,7 @@ fn random_dedup_policies_agree() {
             [DedupPolicy::All, DedupPolicy::None, DedupPolicy::SetValuedOnly(set_preds.clone())]
         {
             let indexed =
-                eqsql_chase::chase_indexed(&q, &sigma, &cfg, &dedup, eqsql_chase::Admission::All);
+                chase_indexed(&q, &sigma, &cfg, &dedup, Admission::All, &EngineOpts::default());
             let reference =
                 chase_with_policy_reference(&q, &sigma, &cfg, &dedup, &mut |_, _, _| true);
             assert_agree(&format!("dedup seed {seed}"), &indexed, &reference);

@@ -183,7 +183,7 @@ fn a_pre_cancelled_batch_is_answered_without_work() {
         equiv("q(X) :- b(X)", "q(X) :- b(X), c(X)", RequestOpts::default()),
     ];
     let opts = BatchOptions { cancel: Some(cancel), ..BatchOptions::default() };
-    let report = solver.decide_all_with(&batch, &opts);
+    let report = solver.decide_all_streaming(&batch, &opts, &|_| {});
     for v in &report.verdicts {
         assert!(matches!(v, Err(Error::Cancelled { .. })), "got {v:?}");
     }
@@ -209,7 +209,7 @@ fn admission_queue_sheds_per_policy_with_accurate_counters() {
     let solver = Solver::builder(sigma.clone(), schema.clone()).build();
     let opts =
         BatchOptions { admission: Some(AdmissionConfig::reject_new(2)), ..BatchOptions::default() };
-    let report = solver.decide_all_with(&batch, &opts);
+    let report = solver.decide_all_streaming(&batch, &opts, &|_| {});
     assert_eq!(report.shed, 3);
     assert_eq!(solver.stats().shed, 3);
     for v in &report.verdicts[..2] {
@@ -224,7 +224,7 @@ fn admission_queue_sheds_per_policy_with_accurate_counters() {
         admission: Some(AdmissionConfig::cancel_oldest(2)),
         ..BatchOptions::default()
     };
-    let report = solver.decide_all_with(&batch, &opts);
+    let report = solver.decide_all_streaming(&batch, &opts, &|_| {});
     assert_eq!(report.shed, 3);
     assert_eq!(solver.stats().shed, 3);
     for v in &report.verdicts[..3] {
@@ -257,7 +257,7 @@ fn budget_exhaustion_retries_with_an_escalated_budget() {
         retry: Some(RetryPolicy { max_attempts: 2, budget_multiplier: 4 }),
         ..BatchOptions::default()
     };
-    let report = solver.decide_all_with(&batch, &opts);
+    let report = solver.decide_all_streaming(&batch, &opts, &|_| {});
     assert!(report.verdicts[0].as_ref().unwrap().is_positive(), "got {:?}", report.verdicts[0]);
     assert_eq!(solver.stats().retries, 1);
 
@@ -379,7 +379,7 @@ fn dead_requests_still_emit_complete_trace_events() {
         .collect();
     let opts =
         BatchOptions { admission: Some(AdmissionConfig::reject_new(1)), ..BatchOptions::default() };
-    let report = solver.decide_all_with(&batch, &opts);
+    let report = solver.decide_all_streaming(&batch, &opts, &|_| {});
     assert_eq!(report.shed, 2);
     let lines = sink.lines();
     assert_eq!(lines.len(), batch.len(), "every request, shed or decided, is logged");

@@ -849,18 +849,23 @@ fn warm_start_matches_cold_solver_on_randomized_draws() {
 
 /// The committed `equiv_batch.req` served by `scripts/bench_snapshot.sh`
 /// and `scripts/verify.sh` must equal the benched workload, line for line,
-/// and parse into one request per benched pair.
+/// and parse into one request per benched pair. The end-to-end
+/// benchmark's copy under `e2e_bench/data/` must stay byte-identical to
+/// it; that copy is only read here, never regenerated.
 #[test]
 fn equiv_batch_request_fixture_matches_the_benched_workload() {
     let text = equiv_batch_request_file();
-    let path =
-        Path::new(env!("CARGO_MANIFEST_DIR")).join("../crates/service/fixtures/equiv_batch.req");
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
+    let path = root.join("crates/service/fixtures/equiv_batch.req");
     if regen_fixtures() {
         std::fs::write(&path, &text).unwrap();
     }
     let committed = std::fs::read_to_string(&path)
         .expect("fixture missing — regenerate with EQSQL_REGEN_FIXTURES=1");
     assert_eq!(committed, text, "fixture drifted — regenerate with EQSQL_REGEN_FIXTURES=1");
+    let benched = std::fs::read(root.join("e2e_bench/data/equiv_batch.req"))
+        .expect("the end-to-end benchmark's copy of equiv_batch.req");
+    assert!(benched == text.as_bytes(), "e2e_bench/data/equiv_batch.req differs from the fixture");
     let parsed = eqsql_service::parse_request_file(&text).expect("fixture parses");
     assert_eq!(parsed.requests.len(), repeated_subquery_pairs().len());
 }

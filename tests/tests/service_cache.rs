@@ -17,7 +17,7 @@ use eqsql_gen::random_weakly_acyclic_sigma;
 use eqsql_gen::rename_isomorphic;
 use eqsql_gen::sigma::SigmaParams;
 use eqsql_relalg::{Schema, Semantics};
-use eqsql_service::{BatchSession, ChaseCache, EquivRequest};
+use eqsql_service::{Answer, ChaseCache, Request, RequestOpts, Solver};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -186,8 +186,10 @@ fn non_isomorphic_queries_get_distinct_entries() {
     assert_eq!(cache.stats().hits, 0);
 }
 
-/// End-to-end: a batch over a shared cache returns the same verdicts as
-/// unbatched, uncached decisions, for every thread count.
+/// End-to-end: a `Solver::decide_all` batch over a shared cache returns
+/// the same verdicts as unbatched, uncached decisions, for every thread
+/// count — and once the first batch has warmed the cache, the later
+/// batches run no chase at all.
 #[test]
 fn batched_verdicts_match_unbatched_across_threads() {
     let schema = schema();
@@ -199,7 +201,8 @@ fn batched_verdicts_match_unbatched_across_threads() {
     );
     let config = ChaseConfig::default();
     let params = QueryParams { atoms: 3, vars: 4, const_prob: 0.1, const_domain: 3, max_head: 2 };
-    let mut pairs: Vec<EquivRequest> = Vec::new();
+    let mut expected: Vec<EquivOutcome> = Vec::new();
+    let mut requests: Vec<Request> = Vec::new();
     for i in 0..24 {
         let q1: CqQuery = random_query(&mut rng, &schema, &params);
         let q2 = if i % 2 == 0 {
@@ -208,23 +211,34 @@ fn batched_verdicts_match_unbatched_across_threads() {
             random_query(&mut rng, &schema, &params)
         };
         let sem = [Semantics::Set, Semantics::Bag, Semantics::BagSet][i % 3];
-        pairs.push(EquivRequest { sem, q1, q2 });
+        expected.push(sigma_equivalent(sem, &q1, &q2, &sigma, &schema, &config));
+        requests.push(Request::Equivalent { q1, q2, opts: RequestOpts::with_sem(sem) });
     }
-    let expected: Vec<EquivOutcome> = pairs
-        .iter()
-        .map(|p| sigma_equivalent(p.sem, &p.q1, &p.q2, &sigma, &schema, &config))
-        .collect();
     let cache = Arc::new(ChaseCache::default());
     for threads in [1, 4, 8] {
-        let session = BatchSession::new(sigma.clone(), schema.clone(), config)
-            .with_cache(Arc::clone(&cache))
-            .with_threads(threads);
-        let outcome = session.run(&pairs);
-        assert_eq!(outcome.verdicts, expected, "threads={threads}");
+        let solver = Solver::builder(sigma.clone(), schema.clone())
+            .chase_config(config)
+            .counterexamples(false)
+            .cache(Arc::clone(&cache))
+            .threads(threads)
+            .build();
+        let report = solver.decide_all(&requests);
+        let verdicts: Vec<EquivOutcome> = report
+            .verdicts
+            .into_iter()
+            .map(|v| match v.map(|v| v.answer) {
+                Ok(Answer::Equivalent { .. }) => EquivOutcome::Equivalent,
+                Ok(Answer::NotEquivalent { .. }) => EquivOutcome::NotEquivalent,
+                Ok(other) => panic!("equivalence request answered with {other:?}"),
+                Err(e) => EquivOutcome::Unknown(e.as_chase_error().expect("a chase-level error")),
+            })
+            .collect();
+        assert_eq!(verdicts, expected, "threads={threads}");
+        if threads > 1 {
+            // The first batch chased every (Q, Σ) the later ones demand.
+            assert_eq!(report.stats.cache_misses, 0, "threads={threads}: {:?}", report.stats);
+        }
     }
-    // The second and third sessions ran fully warm.
-    let stats = cache.stats();
-    assert!(stats.hits >= stats.misses, "{stats:?}");
 }
 
 /// Eviction accounting through the `Solver::stats` snapshot, with and

@@ -374,7 +374,7 @@ fn an_idle_guard_is_step_identical_to_no_guard() {
         let plain = Solver::builder(sigma.clone(), schema.clone()).build();
         let guarded = Solver::builder(sigma, schema.clone()).build();
         let a = plain.decide_all(&batch);
-        let b = guarded.decide_all_with(&batch, &guarded_opts);
+        let b = guarded.decide_all_streaming(&batch, &guarded_opts, &|_| {});
         for (va, vb) in a.verdicts.iter().zip(b.verdicts.iter()) {
             // Compare by answer kind (substitution maps Debug-print in
             // nondeterministic order; the step/hit/miss equalities below
