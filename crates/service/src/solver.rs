@@ -1992,6 +1992,107 @@ mod tests {
         assert!(stats.cache.misses > 0);
     }
 
+    /// Example 4.1's six pairs against Q4 across the three semantics, with
+    /// the paper's verdicts (`true`: equivalent).
+    fn example_4_1_pairs() -> (Vec<Request>, Vec<bool>) {
+        let q1 = q("q1(X) :- p(X,Y), t(X,Y,W), s(X,Z), r(X), u(X,U)");
+        let q2 = q("q2(X) :- p(X,Y), t(X,Y,W), s(X,Z), r(X)");
+        let q3 = q("q3(X) :- p(X,Y), t(X,Y,W), s(X,Z)");
+        let q4 = q("q4(X) :- p(X,Y)");
+        use Semantics::{Bag, BagSet, Set};
+        let reqs = [(Set, &q1), (Bag, &q1), (Bag, &q3), (BagSet, &q2), (Bag, &q2), (Set, &q3)]
+            .into_iter()
+            .map(|(sem, q)| Request::Equivalent {
+                q1: q.clone(),
+                q2: q4.clone(),
+                opts: RequestOpts::with_sem(sem),
+            })
+            .collect();
+        (reqs, vec![true, false, true, true, false, true])
+    }
+
+    fn positives(report: &BatchReport) -> Vec<bool> {
+        report.verdicts.iter().map(|v| v.as_ref().unwrap().is_positive()).collect()
+    }
+
+    #[test]
+    fn batch_matches_unbatched_verdicts_across_thread_counts() {
+        let (sigma, schema) = example_4_1();
+        let (reqs, want) = example_4_1_pairs();
+        let unbatched = solver();
+        let alone: Vec<bool> =
+            reqs.iter().map(|r| unbatched.decide(r).unwrap().is_positive()).collect();
+        assert_eq!(alone, want);
+        for threads in [1, 4, 8] {
+            let s = Solver::builder(sigma.clone(), schema.clone())
+                .counterexamples(false)
+                .threads(threads)
+                .build();
+            let report = s.decide_all(&reqs);
+            assert_eq!((report.threads, report.shed), (threads.min(reqs.len()), 0));
+            assert_eq!(positives(&report), want, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn shared_sigma_amortizes_chases_across_pairs() {
+        let (sigma, schema) = example_4_1();
+        let s = Solver::builder(sigma, schema).counterexamples(false).build();
+        let (reqs, want) = example_4_1_pairs();
+        let report = s.decide_all(&reqs);
+        assert_eq!(positives(&report), want);
+        // 6 pairs → 12 chases demanded; Q4 recurs twice under Set and
+        // three times under Bag, so the cache absorbs at least 3.
+        assert!(report.stats.cache_hits >= 3, "{:?}", report.stats);
+        // A second identical batch is served entirely from cache.
+        let again = s.decide_all(&reqs);
+        assert_eq!(positives(&again), want);
+        assert_eq!(again.stats.cache_misses, 0, "{:?}", again.stats);
+        assert_eq!(again.stats.chase_steps, report.stats.chase_steps);
+    }
+
+    #[test]
+    fn unknown_outcomes_flow_through_batches() {
+        let sigma = parse_dependencies("e(X,Y) -> e(Y,Z).").unwrap();
+        let schema = Schema::all_bags(&[("e", 2)]);
+        // The default single worker decides the requests in order, so the
+        // second one deterministically probes the exhaustion the first cached.
+        let s =
+            Solver::builder(sigma, schema).chase_config(ChaseConfig::with_max_steps(10)).build();
+        let req = Request::Equivalent {
+            q1: q("q(X) :- e(X,Y)"),
+            q2: q("q(X) :- e(X,Y), e(Y,Z)"),
+            opts: RequestOpts::default(),
+        };
+        let report = s.decide_all(&[req.clone(), req]);
+        assert_eq!(report.verdicts.len(), 2);
+        for v in &report.verdicts {
+            assert!(matches!(v, Err(Error::BudgetExhausted { .. })), "{v:?}");
+        }
+        assert!(report.stats.cache_hits >= 1, "{:?}", report.stats);
+    }
+
+    #[test]
+    fn request_without_semantics_is_decided_under_set() {
+        let s = solver();
+        let (reqs, want) = example_4_1_pairs();
+        // Pairs 0 and 1 ask Q1 ≡ Q4 under Set and Bag and get different
+        // answers; the same pair naming no semantics gets Set's.
+        assert_ne!(want[0], want[1]);
+        let Request::Equivalent { q1, q2, .. } = &reqs[0] else { unreachable!() };
+        let opts = RequestOpts::default();
+        let req = Request::Equivalent { q1: q1.clone(), q2: q2.clone(), opts };
+        assert_eq!(s.decide(&req).unwrap().is_positive(), want[0]);
+        // The containment variants fix their own semantics; only an
+        // explicit conflicting one errors.
+        let opts = RequestOpts::with_sem(Semantics::Set);
+        let req = Request::BagContained { q1: q2.clone(), q2: q2.clone(), opts };
+        assert!(matches!(
+            s.decide(&req),
+            Err(Error::UnsupportedSemantics { operation: "bag-containment", sem: Semantics::Set })
+        ));
+    }
+
     #[test]
     fn trace_sink_gets_one_event_per_batch_request() {
         let (sigma, schema) = example_4_1();
