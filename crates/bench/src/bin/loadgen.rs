@@ -32,9 +32,9 @@
 //! `BENCH_chase.json`. `--drain` asks the server to shut down gracefully
 //! after the measurement.
 
-use eqsql_bench::workloads::{request_lines, run_load, run_load_connect, LoadMode, LoadReport};
+use eqsql_bench::workloads::{run_load, run_load_connect, LoadMode, LoadReport};
 use eqsql_net::Client;
-use eqsql_service::{parse_request_file, Error, Solver};
+use eqsql_service::{parse_request_file, request_lines, Error, Solver};
 use std::process::ExitCode;
 
 const USAGE: &str =

@@ -206,24 +206,6 @@ pub fn run_load(solver: &Solver, requests: &[Request], total: usize, mode: LoadM
     }
 }
 
-/// The wire-sendable lines of a request-file text: verb lines only
-/// (headers like `sigma:` configure a server at startup, comments and
-/// blanks carry nothing). What `loadgen --connect` replays against a
-/// server that was itself started from the same file.
-pub fn request_lines(text: &str) -> Vec<String> {
-    text.lines()
-        .map(str::trim)
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
-        .filter(|l| {
-            !matches!(
-                l.split(':').next().map(str::trim),
-                Some("sigma" | "set_valued" | "max_steps" | "max_atoms")
-            )
-        })
-        .map(str::to_string)
-        .collect()
-}
-
 /// [`run_load`] over a live socket: the same closed/open worker pool,
 /// but each worker drives one [`eqsql_net::Client`] connection against
 /// the server at `addr`, one in-flight request per connection (send,

@@ -21,6 +21,7 @@
 //! smoke driver for the net path.
 
 use eqsql_net::{validate_json, Client};
+use eqsql_service::request_lines;
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: netdrive [--clients N] [--stats] [--drain] [--verbose] ADDR FILE";
@@ -63,22 +64,6 @@ fn parse_args() -> Result<Option<Args>, String> {
     let addr = addr.ok_or("missing server ADDR")?;
     let file = file.ok_or("missing request FILE")?;
     Ok(Some(Args { addr, file, clients, stats, drain, verbose }))
-}
-
-/// The verb lines of a request file — what is legal to send over the
-/// wire. Headers, comments and blanks are dropped.
-fn verb_lines(text: &str) -> Vec<String> {
-    text.lines()
-        .map(str::trim)
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
-        .filter(|l| {
-            !matches!(
-                l.split(':').next().map(str::trim),
-                Some("sigma" | "set_valued" | "max_steps" | "max_atoms")
-            )
-        })
-        .map(str::to_string)
-        .collect()
 }
 
 /// One client's work: pipeline every line, then collect exactly as many
@@ -136,7 +121,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let lines = verb_lines(&text);
+    let lines = request_lines(&text);
     if lines.is_empty() {
         eprintln!("netdrive: {} has no request lines", args.file);
         return ExitCode::FAILURE;
@@ -214,11 +199,11 @@ fn main() -> ExitCode {
 
 #[cfg(test)]
 mod tests {
-    use super::verb_lines;
+    use super::request_lines;
 
     #[test]
     fn header_lines_are_not_sent() {
-        let lines = verb_lines(
+        let lines = request_lines(
             "# c\nsigma: a(X) -> b(X).\nset_valued: b\nmax_steps: 9\n\n\
              pair: set | q(X) :- a(X) | q(X) :- a(X), b(X)\nimplies: a(X) -> b(X).\n",
         );

@@ -28,11 +28,12 @@
 //! deciding across all connections (past it, `reject-new` sheds the
 //! arriving request and `cancel-oldest` the oldest one still queued,
 //! never one already deciding); `--cache-dir` persists the shared cache,
-//! `--metrics` enables instrumentation, and `--trace` additionally puts
-//! per-phase timings on every verdict line. The bound address is printed as
-//! `listening on ADDR` (bind to port `0` for an ephemeral port); the
-//! process runs until a client sends `drain`, then prints the same
-//! `cache:`/`persist:`/`metric:` stat lines as file mode.
+//! and `--metrics` or `--trace` turns observation on, which puts the
+//! per-phase timings and attribution counters on every verdict line. The
+//! bound address is printed as `listening on ADDR` (bind to port `0` for
+//! an ephemeral port); the process runs until a client sends `drain`,
+//! then prints the same `cache:`/`persist:`/`metric:` stat lines as file
+//! mode.
 //!
 //! `--cache-dir DIR` persists the chase cache at DIR (append-only log +
 //! compacted snapshots; see `eqsql_service::cache::persist`): a restarted
@@ -54,11 +55,12 @@
 //! step-identical): `--metrics` turns instrumentation on and prints
 //! `metric:`-prefixed summary lines at end of run (latency histogram
 //! quantiles, cumulative per-phase timings, core counters); `--trace FILE`
-//! additionally writes one structured `event=request …` key=value line per
-//! decided request to FILE (see `eqsql_service`'s "Observability" docs for
-//! the schema; `req=` is the request's index in the file, or its wire id
-//! under `--listen`); `--progress MS` prints a liveness line to stderr every MS
-//! milliseconds while the batch loop runs.
+//! additionally writes each decided request's record line to FILE — the
+//! `verdict …` line of the `eqsql_net` wire protocol, with the observed
+//! fields (see `eqsql_service::RequestRecord::render`; `id=` is the
+//! request's index in the file, or its wire id under `--listen`);
+//! `--progress MS` prints a liveness line to stderr every MS milliseconds
+//! while the batch loop or the server runs.
 
 use eqsql_net::{Server, ServerConfig};
 use eqsql_service::{
@@ -295,34 +297,8 @@ fn main() -> ExitCode {
     }
 
     let start = Instant::now();
-    let mut last = None;
-    // The progress reporter (if any) lives only as long as the batch loop:
-    // a scoped thread borrowing the solver, parked between ticks and
-    // unparked for a prompt exit once the loop is done.
-    let done = AtomicBool::new(false);
-    std::thread::scope(|scope| {
-        let progress = args.progress_ms.map(|ms| {
-            let (solver, done) = (&solver, &done);
-            scope.spawn(move || {
-                let period = Duration::from_millis(ms);
-                loop {
-                    std::thread::park_timeout(period);
-                    if done.load(Ordering::Acquire) {
-                        break;
-                    }
-                    let s = solver.stats();
-                    eprintln!(
-                        "progress: {} request(s) decided, {} cache hit(s), \
-                         {} miss(es), {} shed, {:.1}s elapsed",
-                        s.requests,
-                        s.cache.hits,
-                        s.cache.misses,
-                        s.shed,
-                        start.elapsed().as_secs_f64()
-                    );
-                }
-            })
-        });
+    let report = with_progress(&solver, args.progress_ms, || {
+        let mut last = None;
         for run in 0..args.repeat {
             let report = solver.decide_all_streaming(&request.requests, &batch_opts, &|_| {});
             if run == 0 && !args.quiet {
@@ -332,13 +308,9 @@ fn main() -> ExitCode {
             }
             last = Some(report);
         }
-        done.store(true, Ordering::Release);
-        if let Some(handle) = progress {
-            handle.thread().unpark();
-        }
+        last.expect("repeat >= 1")
     });
     let total = start.elapsed();
-    let report = last.expect("repeat >= 1");
     let positive = report
         .verdicts
         .iter()
@@ -368,6 +340,42 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
+}
+
+/// Runs `body` while, with `--progress MS`, a liveness line goes to stderr
+/// every MS milliseconds. The reporter is a scoped thread borrowing the
+/// solver, parked between ticks and unparked for a prompt exit once
+/// `body` returns.
+fn with_progress<R>(solver: &Solver, progress_ms: Option<u64>, body: impl FnOnce() -> R) -> R {
+    let start = Instant::now();
+    let done = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        let progress = progress_ms.map(|ms| {
+            let done = &done;
+            scope.spawn(move || loop {
+                std::thread::park_timeout(Duration::from_millis(ms));
+                if done.load(Ordering::Acquire) {
+                    break;
+                }
+                let s = solver.stats();
+                eprintln!(
+                    "progress: {} request(s) decided, {} cache hit(s), \
+                     {} miss(es), {} shed, {:.1}s elapsed",
+                    s.requests,
+                    s.cache.hits,
+                    s.cache.misses,
+                    s.shed,
+                    start.elapsed().as_secs_f64()
+                );
+            })
+        });
+        let out = body();
+        done.store(true, Ordering::Release);
+        if let Some(handle) = progress {
+            handle.thread().unpark();
+        }
+        out
+    })
 }
 
 /// The `cache:`/`persist:`/`backpressure:` stat lines, shared between
@@ -444,11 +452,7 @@ fn print_metric_stats(solver: &Solver, args: &Args) {
 /// client drains it.
 fn run_listen(args: &Args, solver: Solver, batch_opts: BatchOptions, addr: &str) -> ExitCode {
     let solver = Arc::new(solver);
-    let config = ServerConfig {
-        batch: batch_opts,
-        trace_timings: args.trace.is_some(),
-        ..ServerConfig::default()
-    };
+    let config = ServerConfig { batch: batch_opts, ..ServerConfig::default() };
     let server = match Server::start(Arc::clone(&solver), addr, config) {
         Ok(s) => s,
         Err(e) => {
@@ -461,38 +465,7 @@ fn run_listen(args: &Args, solver: Solver, batch_opts: BatchOptions, addr: &str)
     println!("listening on {}", server.local_addr());
     let _ = std::io::stdout().flush();
     let start = Instant::now();
-    // Same liveness reporting as file mode, against the shared solver.
-    let done = AtomicBool::new(false);
-    let report = std::thread::scope(|scope| {
-        let progress = args.progress_ms.map(|ms| {
-            let (solver, done) = (&solver, &done);
-            scope.spawn(move || {
-                let period = Duration::from_millis(ms);
-                loop {
-                    std::thread::park_timeout(period);
-                    if done.load(Ordering::Acquire) {
-                        break;
-                    }
-                    let s = solver.stats();
-                    eprintln!(
-                        "progress: {} request(s) decided, {} cache hit(s), \
-                         {} miss(es), {} shed, {:.1}s elapsed",
-                        s.requests,
-                        s.cache.hits,
-                        s.cache.misses,
-                        s.shed,
-                        start.elapsed().as_secs_f64()
-                    );
-                }
-            })
-        });
-        let report = server.join();
-        done.store(true, Ordering::Release);
-        if let Some(handle) = progress {
-            handle.thread().unpark();
-        }
-        report
-    });
+    let report = with_progress(&solver, args.progress_ms, || server.join());
     println!(
         "net: {} connection(s) accepted, {} rejected, {} request(s) served in {:.1}s",
         report.connections,

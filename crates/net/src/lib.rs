@@ -27,8 +27,9 @@
 //!   iterate responses) used by the tests, by `netdrive`, and by
 //!   `loadgen --connect` for open-loop latency measurement over a real
 //!   socket.
-//! * [`proto`] — the line grammar itself: rendering and parsing of
-//!   response lines, request-id tagging, evidence summaries.
+//! * [`proto`] — the line grammar itself: request-id tagging, control
+//!   verbs and the parsing of response lines (a verdict line is rendered
+//!   by [`eqsql_service::RequestRecord::render`]).
 //! * [`json`] — the hand-rolled (dependency-free) JSON encoding of
 //!   [`eqsql_service::SolverStats`] and the [`ServerReport`] behind the
 //!   `stats` verb, plus a strict validator the tests check it with.
@@ -83,8 +84,10 @@
 //!
 //! ### Responses (server → client)
 //!
-//! Every decided request produces exactly one `verdict` line of stable
-//! `key=value` fields (space-separated; order fixed; new keys append
+//! Every decided request produces exactly one `verdict` line: its
+//! [`eqsql_service::RequestRecord`], rendered by
+//! [`eqsql_service::RequestRecord::render`]. The fields are stable
+//! `key=value` pairs (space-separated; order fixed; new keys append
 //! before `msg`, which is always last and runs to end of line):
 //!
 //! ```text
@@ -99,17 +102,26 @@
 //!
 //! (Shown wrapped; on the wire each is one line.) `verb` is the request
 //! label, `outcome` the answer/error label, and `terminal` one of `ok`,
-//! `error`, `deadline`, `cancelled`, `shed`, `panic` — the same
-//! vocabulary as the `event=request` trace lines ([`eqsql_service::Error::labels`]).
-//! `evidence` is a one-token summary of the certificate the verdict
-//! carries (`containment-homs`, `isomorphism`, `witness-db`,
-//! `reformulations=N`, `vacuous`, `none`, …). `steps`/`hits`/`misses`
-//! are the decision's chase-step and cache accounting; `wall_us` is
-//! measured from the socket read. With `ServerConfig::trace_timings` on
-//! (`eqsql-serve --listen --trace`), five per-phase fields `queue_us=`
-//! `regularize_us=` `chase_us=` `cache_us=` `evidence_us=` appear after
-//! `wall_us`. Malformed request lines get the same shape —
-//! `outcome=parse-error terminal=error` with the parser's message in
+//! `error`, `deadline`, `cancelled`, `shed`, `panic`
+//! ([`eqsql_service::Error::labels`]). `evidence` is a one-token summary
+//! of the certificate the verdict carries (`containment-homs`,
+//! `isomorphism`, `witness-db`, `reformulations=N`, `vacuous`, `none`,
+//! …). `steps`/`hits`/`misses` are the decision's chase-step and cache
+//! accounting, summed over its attempts (a budget-exhausted request may
+//! be retried at an escalated budget); `wall_us` is measured from the
+//! socket read.
+//!
+//! When the solver observes the request (`eqsql-serve --metrics` or
+//! `--trace`, i.e. [`eqsql_obs::set_enabled`] or a trace sink), ten
+//! fields follow `wall_us`: the five phases `queue_us=` `regularize_us=`
+//! `chase_us=` `cache_us=` `evidence_us=` (the queue phase starts at the
+//! socket read), then `attempts=` (decision attempts, `0` for a shed
+//! request), `engine_steps=` and `scans=` (fresh engine work), and
+//! `mem_hits=` `disk_hits=` (the hits by cache tier). A trace sink
+//! receives the same line the client reads.
+//!
+//! Malformed request lines get the same shape — `verb=unparsed
+//! outcome=parse-error terminal=error` with the parser's message in
 //! `msg=` — and the connection stays up; a request shed at admission gets
 //! `outcome=shed terminal=shed` at once; over-limit connections get one
 //! `busy max=N` line and are closed.

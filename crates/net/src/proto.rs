@@ -1,14 +1,8 @@
-//! The wire grammar: request-id tagging, control verbs, response-line
-//! rendering and parsing. See the crate docs for the protocol itself;
-//! this module is the one place the `key=value` layout is spelled out,
-//! shared by the server (rendering) and the client (parsing) so the two
-//! cannot drift apart.
-
-use eqsql_service::{
-    Answer, BagContainmentCertificate, ContainmentCertificate, DecisionStats,
-    EquivalenceCertificate, Error, Verdict,
-};
-use std::fmt::Write as _;
+//! The wire grammar: request-id tagging, control verbs, and response-line
+//! parsing. See the crate docs for the protocol itself. A verdict line is
+//! rendered by [`eqsql_service::RequestRecord::render`]; this module's
+//! round-trip test parses what that renders, so the two cannot drift
+//! apart.
 
 /// A control verb, handled by the connection's reader thread immediately
 /// rather than queued behind decisions.
@@ -63,86 +57,6 @@ pub fn control(payload: &[u8]) -> Option<Control> {
         b"drain" => Some(Control::Drain),
         _ => None,
     }
-}
-
-/// One token summarizing the evidence a verdict carries — which
-/// certificate shape certifies a positive answer, whether a negative one
-/// found a materialized witness. Never contains spaces.
-pub fn evidence_summary(verdict: &Result<Verdict, Error>) -> String {
-    let Ok(v) = verdict else { return "none".into() };
-    let witness = |found: bool| if found { "witness-db" } else { "none" };
-    match &v.answer {
-        Answer::Equivalent { certificate } => match certificate {
-            EquivalenceCertificate::BothUnsatisfiable => "both-unsatisfiable".into(),
-            EquivalenceCertificate::Set { .. } => "containment-homs".into(),
-            EquivalenceCertificate::Iso { .. } => "isomorphism".into(),
-        },
-        Answer::NotEquivalent { counterexample } => witness(counterexample.is_some()).into(),
-        Answer::Contained { certificate } => match certificate {
-            ContainmentCertificate::EmptyLeft => "empty-left".into(),
-            ContainmentCertificate::Mapping { .. } => "containment-hom".into(),
-        },
-        Answer::NotContained { counterexample } => witness(counterexample.is_some()).into(),
-        Answer::BagContained { certificate } => match certificate {
-            BagContainmentCertificate::EmptyLeft => "empty-left".into(),
-            BagContainmentCertificate::OntoMapping { .. } => "onto-hom".into(),
-        },
-        Answer::BagNotContained { .. } => "witness-db".into(),
-        Answer::BagContainmentOpen => "open".into(),
-        Answer::Minimal => "no-witness".into(),
-        Answer::NotMinimal { .. } => "reduction-witness".into(),
-        Answer::Reformulated { reformulations, .. } => {
-            format!("reformulations={}", reformulations.len())
-        }
-        Answer::Implied { vacuous: true, .. } => "vacuous".into(),
-        Answer::Implied { .. } => "conclusion-hom".into(),
-        Answer::NotImplied { counterexample, .. } => witness(counterexample.is_some()).into(),
-        Answer::ChasedInstance { steps, .. } => format!("repaired={steps}"),
-    }
-}
-
-/// Renders one `verdict` response line (without the trailing newline).
-/// Field order is part of the protocol: anything new goes before `msg`,
-/// which is always last because it runs to end of line.
-pub fn render_verdict(
-    id: u64,
-    verb: &str,
-    verdict: &Result<Verdict, Error>,
-    stats: DecisionStats,
-    wall_us: u64,
-    phase_us: Option<[u64; 5]>,
-) -> String {
-    let (outcome, terminal) = match verdict {
-        Ok(v) => (v.answer.label(), "ok"),
-        Err(e) => e.labels(),
-    };
-    let positive = verdict.as_ref().map(Verdict::is_positive).unwrap_or(false);
-    let mut line = format!(
-        "verdict id={id} verb={verb} outcome={outcome} terminal={terminal} \
-         positive={positive} evidence={} steps={} hits={} misses={} wall_us={wall_us}",
-        evidence_summary(verdict),
-        stats.chase_steps,
-        stats.cache_hits,
-        stats.cache_misses,
-    );
-    if let Some([queue, regularize, chase, cache, evidence]) = phase_us {
-        let _ = write!(
-            line,
-            " queue_us={queue} regularize_us={regularize} chase_us={chase} \
-             cache_us={cache} evidence_us={evidence}"
-        );
-    }
-    if let Err(e) = verdict {
-        let _ = write!(line, " msg={e}");
-    }
-    line
-}
-
-/// Renders the response line for a request that never became a
-/// [`eqsql_service::Request`] — a parse failure, reported per line with
-/// the connection kept open.
-pub fn render_parse_error(id: u64, e: &Error) -> String {
-    render_verdict(id, "unparsed", &Err(e.clone()), DecisionStats::default(), 0, None)
 }
 
 /// One response line, parsed. [`Client::recv`](crate::Client::recv)
@@ -205,7 +119,7 @@ pub struct WireVerdict {
     pub misses: u64,
     /// Wall microseconds from socket read to completion.
     pub wall_us: u64,
-    /// Per-phase timings, when the server ran with `trace_timings`.
+    /// Per-phase timings, when the server observed the request.
     pub phase_us: Option<[u64; 5]>,
     /// The error message, for non-`ok` terminals.
     pub msg: Option<String>,
@@ -289,10 +203,22 @@ mod tests {
 
     #[test]
     fn verdict_lines_round_trip() {
+        use eqsql_service::{DecisionStats, Error, RequestRecord};
         let stats =
             DecisionStats { chase_steps: 12, cache_hits: 3, cache_misses: 1, ..Default::default() };
-        let err: Result<Verdict, Error> = Err(Error::Cancelled { steps: 310 });
-        let line = render_verdict(9, "equivalent", &err, stats, 5120, Some([1, 2, 3, 4, 5]));
+        let mut record = RequestRecord {
+            stats,
+            verb: "equivalent",
+            wall_us: 7,
+            ..RequestRecord::unparsed(9, Error::Cancelled { steps: 310 })
+        };
+        // Unobserved: no phase or attribution fields.
+        let line = record.render();
+        assert_eq!(
+            line,
+            "verdict id=9 verb=equivalent outcome=cancelled terminal=cancelled positive=false \
+             evidence=none steps=12 hits=3 misses=1 wall_us=7 msg=cancelled after 310 chase steps"
+        );
         let Response::Verdict(v) = parse_response(&line) else { panic!("not a verdict: {line}") };
         assert_eq!(v.id, 9);
         assert_eq!(v.verb, "equivalent");
@@ -300,14 +226,32 @@ mod tests {
         assert_eq!(v.terminal, "cancelled");
         assert!(!v.positive);
         assert_eq!(v.evidence, "none");
+        assert_eq!((v.steps, v.hits, v.misses, v.wall_us), (12, 3, 1, 7));
+        assert_eq!(v.phase_us, None);
+        assert_eq!(v.msg.as_deref(), Some("cancelled after 310 chase steps"));
+
+        // Observed: the phases and the attribution fields sit between
+        // `wall_us` and `msg`.
+        record.phase_us = Some([1, 2, 3, 4, 5]);
+        (record.attempts, record.engine_steps, record.scans) = (2, 10, 14);
+        (record.mem_hits, record.disk_hits, record.wall_us) = (2, 1, 5120);
+        let line = record.render();
+        assert_eq!(
+            line,
+            "verdict id=9 verb=equivalent outcome=cancelled terminal=cancelled positive=false \
+             evidence=none steps=12 hits=3 misses=1 wall_us=5120 queue_us=1 regularize_us=2 \
+             chase_us=3 cache_us=4 evidence_us=5 attempts=2 engine_steps=10 scans=14 \
+             mem_hits=2 disk_hits=1 msg=cancelled after 310 chase steps"
+        );
+        let Response::Verdict(v) = parse_response(&line) else { panic!("not a verdict: {line}") };
         assert_eq!((v.steps, v.hits, v.misses, v.wall_us), (12, 3, 1, 5120));
         assert_eq!(v.phase_us, Some([1, 2, 3, 4, 5]));
         assert_eq!(v.msg.as_deref(), Some("cancelled after 310 chase steps"));
 
-        let plain = render_verdict(1, "minimal", &err, stats, 7, None);
-        let Response::Verdict(v) = parse_response(&plain) else { panic!() };
-        assert_eq!(v.phase_us, None);
-        assert_eq!(v.wall_us, 7);
+        let line = RequestRecord::unparsed(4, Error::parse("unknown verb")).render();
+        let Response::Verdict(v) = parse_response(&line) else { panic!("not a verdict: {line}") };
+        assert_eq!((v.id, v.verb.as_str(), v.outcome.as_str()), (4, "unparsed", "parse-error"));
+        assert_eq!((v.terminal.as_str(), v.wall_us), ("error", 0));
     }
 
     #[test]

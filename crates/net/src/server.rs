@@ -40,9 +40,9 @@
 //! accept thread joins everything and logs one final stats line.
 
 use crate::json::stats_json;
-use crate::proto::{control, render_parse_error, render_verdict, split_id, Control};
+use crate::proto::{control, split_id, Control};
 use eqsql_service::{
-    BatchOptions, Cancel, Decided, Error, Request, ShedPolicy, Solver, MAX_LINE_BYTES,
+    BatchOptions, Cancel, Error, Request, RequestRecord, ShedPolicy, Solver, MAX_LINE_BYTES,
 };
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufWriter, ErrorKind, Read, Write};
@@ -77,11 +77,6 @@ pub struct ServerConfig {
     /// token as the cancellation handle, so leave [`BatchOptions::cancel`]
     /// unset.
     pub batch: BatchOptions,
-    /// Append per-phase timings (`queue_us=` … `evidence_us=`) to every
-    /// verdict line. Only meaningful while observability is on
-    /// ([`eqsql_obs::set_enabled`] or a trace sink); the Queue phase
-    /// starts at the socket read.
-    pub trace_timings: bool,
 }
 
 impl Default for ServerConfig {
@@ -90,7 +85,6 @@ impl Default for ServerConfig {
             max_connections: 64,
             write_timeout: Duration::from_secs(5),
             batch: BatchOptions::default(),
-            trace_timings: false,
         }
     }
 }
@@ -260,18 +254,15 @@ impl Shared {
             slot.filled.notify_one();
         }
         if let Some((job, capacity)) = shed {
-            let d = self.solver.shed_request(&job.request, capacity, job.read_at, job.id);
-            self.answer(&job, &d);
+            let record = self.solver.shed_request(&job.request, capacity, job.read_at, job.id);
+            self.answer(&job.conn, &record);
         }
     }
 
-    /// Writes `job`'s verdict line to the connection that sent it.
-    fn answer(&self, job: &Job, d: &Decided) {
-        let phase_us = if self.config.trace_timings { d.phase_us } else { None };
-        let line =
-            render_verdict(job.id, job.request.label(), &d.verdict, d.stats, d.wall_us, phase_us);
+    /// Writes a request's record line to the connection that sent it.
+    fn answer(&self, conn: &Conn, record: &RequestRecord) {
         self.served.fetch_add(1, Ordering::AcqRel);
-        job.conn.send(&line);
+        conn.send(&record.render());
     }
 }
 
@@ -461,7 +452,8 @@ fn reject_busy(stream: TcpStream, config: &ServerConfig) {
 fn decider(shared: &Shared, index: usize) {
     while let Some(mut job) = shared.slots[index].take(&shared.closed) {
         loop {
-            let d = shared.solver.decide_request(&job.request, &shared.batch, job.read_at, job.id);
+            let record =
+                shared.solver.decide_request(&job.request, &shared.batch, job.read_at, job.id);
             // Back to the pool before writing the verdict: a client that
             // sends its next request as soon as it reads this one should
             // find this decider idle. A job handed over meanwhile waits
@@ -476,7 +468,7 @@ fn decider(shared: &Shared, index: usize) {
                 }
                 next
             };
-            shared.answer(&job, &d);
+            shared.answer(&job.conn, &record);
             let Some(next) = next else { break };
             next.conn.decider.store(index, Ordering::Relaxed);
             job = next;
@@ -545,7 +537,7 @@ fn reader(mut stream: TcpStream, shared: &Shared, conn: Arc<Conn>) {
             let (id, _) = split_id(&pending);
             seq += 1;
             let e = Error::parse(format!("request line exceeds the {MAX_LINE_BYTES}-byte limit"));
-            conn.send(&render_parse_error(id.unwrap_or(seq), &e));
+            conn.send(&RequestRecord::unparsed(id.unwrap_or(seq), e).render());
             pending.clear();
             discarding = true;
         }
@@ -596,10 +588,7 @@ fn handle_line(line: &[u8], shared: &Shared, conn: &Arc<Conn>, seq: &mut u64) ->
         Ok(request) => {
             shared.submit(Job { conn: Arc::clone(conn), id, request, read_at: Instant::now() })
         }
-        Err(e) => {
-            shared.served.fetch_add(1, Ordering::AcqRel);
-            conn.send(&render_parse_error(id, &Error::from(e)));
-        }
+        Err(e) => shared.answer(conn, &RequestRecord::unparsed(id, Error::from(e))),
     }
     Flow::Continue
 }

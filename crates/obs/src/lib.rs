@@ -8,18 +8,15 @@
 //! API-compatible-in-spirit with `metrics`/`tracing`, no registry access
 //! required.
 //!
-//! Three layers, each usable alone:
+//! Two layers, each usable alone:
 //!
 //! * [`hist`] — [`Histogram`]: log-bucketed (octaves with linear
 //!   sub-buckets), all-atomic, mergeable, with p50/p90/p99/max extraction
 //!   whose error is bounded by the bucket width (≤ 1/16 relative).
-//! * [`registry`] — [`Registry`]: named [`Counter`]s and [`Histogram`]s
-//!   behind get-or-create handles, rendered as stable sorted
-//!   `key=value` text for end-of-run dumps.
 //! * [`trace`] — [`TraceCtx`]: one per-request span accumulating phase
 //!   timings (queue wait, Σ-regularization, engine time, cache probes,
-//!   evidence construction) and attribution counters, emitted as a
-//!   structured `key=value` event line through a pluggable [`TraceSink`].
+//!   evidence construction), and the pluggable [`TraceSink`] that the
+//!   owner of a finished request hands its one line to.
 //!
 //! ## The off switch
 //!
@@ -43,11 +40,9 @@
 #![warn(rust_2018_idioms)]
 
 pub mod hist;
-pub mod registry;
 pub mod trace;
 
 pub use hist::{Histogram, HistogramSummary};
-pub use registry::{Counter, Registry};
 pub use trace::{Phase, TraceCtx, TraceSink, VecSink, WriteSink, PHASES};
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

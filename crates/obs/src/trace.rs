@@ -1,41 +1,23 @@
-//! Per-request trace spans and pluggable event sinks.
+//! Per-request trace spans and pluggable line sinks.
 //!
 //! A [`TraceCtx`] rides through one request (one `Solver` decision,
-//! including every retry attempt) and accumulates where the time went —
-//! the [`Phase`] accumulators — plus attribution counters: engine steps
-//! and scans, chase steps including cache-replayed ones, memory- vs
-//! disk-tier cache hits, misses, attempts. At the end of the request the
-//! owner renders it into **one structured event line** in a stable
-//! `key=value` format and hands it to a [`TraceSink`].
+//! including every retry attempt) and accumulates where the time went,
+//! in one accumulator per [`Phase`]. The phases are disjoint:
 //!
-//! ## Reading an event line
+//! * `queue` runs from the request's arrival (batch intake, or the socket
+//!   read) until a worker picked it up, so it is inside the request's
+//!   wall time, and the phases always sum to at most that wall time;
+//! * `chase` is time inside the chase engine and `cache` is probe and
+//!   replay time in the chase cache;
+//! * `evidence` is counterexample and certificate construction
+//!   *excluding* the nested chases it issues (those are already counted
+//!   under `chase`/`cache` — see [`TraceCtx::time_excluding`]), so no
+//!   microsecond is counted twice.
 //!
-//! ```text
-//! event=request req=7 verb=equivalent outcome=equivalent terminal=ok \
-//!   attempts=1 wall_us=1840 queue_us=310 regularize_us=0 chase_us=1210 \
-//!   cache_us=55 evidence_us=0 steps=44 engine_steps=44 scans=61 \
-//!   mem_hits=0 disk_hits=0 misses=2
-//! ```
-//!
-//! * `wall_us` counts from **batch intake** (or decision start for a
-//!   direct `decide`) to event emission, so `queue_us` — the admission
-//!   wait before a worker picked the request up — is inside it, and the
-//!   phase accumulators always sum to ≤ `wall_us`.
-//! * `chase_us` is time inside the chase engine; `cache_us` is probe and
-//!   replay time in the chase cache; `evidence_us` is counterexample /
-//!   certificate construction *excluding* the nested chases it issues
-//!   (those are already counted under `chase_us`/`cache_us` — see
-//!   [`TraceCtx::time_excluding`] — so no microsecond is counted twice).
-//! * `steps` counts chase steps the decision consumed including replayed
-//!   cached ones; `engine_steps`/`scans` count fresh engine work only.
-//! * `terminal` marks how the request ended: `ok`, `error` (a decided
-//!   negative outcome, e.g. budget exhaustion), `deadline`, `cancelled`,
-//!   `shed`, or `panic`. A dead run still emits a complete event — torn
-//!   telemetry would make exactly the interesting requests invisible.
-//!
-//! All accumulators are relaxed atomics: a `TraceCtx` is shared by
-//! reference across the helper layers of one decision, never across
-//! decisions.
+//! The span's owner closes the request and hands its one line to a
+//! [`TraceSink`]; the span itself renders nothing. The accumulators are
+//! relaxed atomics: a `TraceCtx` is shared by reference across the
+//! helper layers of one decision, never across decisions.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -68,7 +50,7 @@ pub const PHASES: [Phase; 5] =
     [Phase::Queue, Phase::Regularize, Phase::Chase, Phase::Cache, Phase::Evidence];
 
 impl Phase {
-    /// The event-line key of this phase's accumulator.
+    /// The line key of this phase's accumulator.
     pub fn key(self) -> &'static str {
         match self {
             Phase::Queue => "queue_us",
@@ -94,13 +76,6 @@ impl Phase {
 #[derive(Debug, Default)]
 pub struct TraceCtx {
     phase_us: [AtomicU64; 5],
-    steps: AtomicU64,
-    engine_steps: AtomicU64,
-    scans: AtomicU64,
-    mem_hits: AtomicU64,
-    disk_hits: AtomicU64,
-    misses: AtomicU64,
-    attempts: AtomicU64,
 }
 
 impl TraceCtx {
@@ -140,84 +115,12 @@ impl TraceCtx {
         self.add_us(phase, elapsed.saturating_sub(nested));
         r
     }
-
-    /// Adds chase steps consumed (replayed cache hits included).
-    pub fn add_steps(&self, n: u64) {
-        self.steps.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Adds fresh engine work (committed steps, scans) from a probe.
-    pub fn add_engine_work(&self, steps: u64, scans: u64) {
-        self.engine_steps.fetch_add(steps, Ordering::Relaxed);
-        self.scans.fetch_add(scans, Ordering::Relaxed);
-    }
-
-    /// One memory-tier cache hit.
-    pub fn mem_hit(&self) {
-        self.mem_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// One disk-tier cache hit.
-    pub fn disk_hit(&self) {
-        self.disk_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// One cache miss (a fresh chase ran).
-    pub fn miss(&self) {
-        self.misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// One decision attempt started (retries call this again).
-    pub fn attempt(&self) {
-        self.attempts.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Attempts recorded so far.
-    pub fn attempts(&self) -> u64 {
-        self.attempts.load(Ordering::Relaxed)
-    }
-
-    /// The sum of every phase accumulator, µs.
-    pub fn phase_total_us(&self) -> u64 {
-        self.phase_us.iter().map(|p| p.load(Ordering::Relaxed)).sum()
-    }
-
-    /// Renders the finished span as one `key=value` event line. The key
-    /// set and order are stable — scripts parse this.
-    pub fn render(
-        &self,
-        req: u64,
-        verb: &str,
-        outcome: &str,
-        terminal: &str,
-        wall_us: u64,
-    ) -> String {
-        let mut line = format!(
-            "event=request req={req} verb={verb} outcome={outcome} terminal={terminal} \
-             attempts={}",
-            self.attempts.load(Ordering::Relaxed).max(1)
-        );
-        line.push_str(&format!(" wall_us={wall_us}"));
-        for phase in PHASES {
-            line.push_str(&format!(" {}={}", phase.key(), self.phase_us(phase)));
-        }
-        line.push_str(&format!(
-            " steps={} engine_steps={} scans={} mem_hits={} disk_hits={} misses={}",
-            self.steps.load(Ordering::Relaxed),
-            self.engine_steps.load(Ordering::Relaxed),
-            self.scans.load(Ordering::Relaxed),
-            self.mem_hits.load(Ordering::Relaxed),
-            self.disk_hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-        ));
-        line
-    }
 }
 
-/// Where finished event lines go. Implementations must be cheap and
+/// Where finished request lines go. Implementations must be cheap and
 /// non-blocking-ish: sinks are called on worker threads.
 pub trait TraceSink: Send + Sync {
-    /// Consumes one event line (no trailing newline).
+    /// Consumes one line (no trailing newline).
     fn emit(&self, line: &str);
 }
 
@@ -243,7 +146,7 @@ impl TraceSink for VecSink {
     }
 }
 
-/// A sink appending one line per event to any writer (a `BufWriter<File>`
+/// A sink appending each line to any writer (a `BufWriter<File>`
 /// for `eqsql-serve --trace`). Errors are deliberately swallowed:
 /// telemetry must never fail a request.
 pub struct WriteSink<W: std::io::Write + Send>(Mutex<W>);
@@ -268,25 +171,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn phases_accumulate_and_render_stably() {
+    fn phases_accumulate() {
         let t = TraceCtx::new();
-        t.attempt();
         t.add_us(Phase::Queue, 10);
         t.add_us(Phase::Chase, 100);
         t.add_us(Phase::Chase, 50);
-        t.add_steps(7);
-        t.add_engine_work(5, 9);
-        t.mem_hit();
-        t.miss();
-        assert_eq!(t.phase_us(Phase::Chase), 150);
-        assert_eq!(t.phase_total_us(), 160);
-        let line = t.render(3, "equivalent", "equivalent", "ok", 200);
-        assert_eq!(
-            line,
-            "event=request req=3 verb=equivalent outcome=equivalent terminal=ok attempts=1 \
-             wall_us=200 queue_us=10 regularize_us=0 chase_us=150 cache_us=0 evidence_us=0 \
-             steps=7 engine_steps=5 scans=9 mem_hits=1 disk_hits=0 misses=1"
-        );
+        assert_eq!(PHASES.map(|p| t.phase_us(p)), [10, 0, 150, 0, 0]);
     }
 
     #[test]
@@ -306,8 +196,8 @@ mod tests {
     #[test]
     fn vec_sink_collects_lines() {
         let sink = VecSink::new();
-        sink.emit("event=request req=0");
-        sink.emit("event=request req=1");
+        sink.emit("verdict id=0");
+        sink.emit("verdict id=1");
         assert_eq!(sink.lines().len(), 2);
     }
 

@@ -163,9 +163,9 @@ impl Error {
         )
     }
 
-    /// Stable `(outcome, terminal)` labels of this error, as used by the
-    /// `event=request …` trace lines and the `eqsql_net` wire protocol's
-    /// verdict lines. The terminal separates "decided negatively"
+    /// Stable `(outcome, terminal)` labels of this error, as rendered in a
+    /// [`crate::RequestRecord`]'s line — the `eqsql_net` verdict line and
+    /// the trace line alike. The terminal separates "decided negatively"
     /// (`error`) from the transient ways a request dies (`deadline`,
     /// `cancelled`, `shed`, `panic`).
     pub fn labels(&self) -> (&'static str, &'static str) {

@@ -16,9 +16,9 @@
 //!   machine-checkable evidence (a request without a semantics is
 //!   decided under set semantics); [`Solver::decide_all`] dispatches a
 //!   batch across a worker pool ([`Solver::decide_all_streaming`] adds
-//!   per-request completion callbacks, deadlines, cancellation, admission
-//!   control and retry — [`BatchOptions`]); [`Solver::stats`] is one
-//!   coherent counter snapshot. Failures surface through the unified
+//!   a per-request [`RequestRecord`] callback, deadlines, cancellation,
+//!   admission control and retry — [`BatchOptions`]); [`Solver::stats`]
+//!   is one coherent counter snapshot. Failures surface through the unified
 //!   [`Error`] taxonomy of [`error`] — parse, budget, egd-failure,
 //!   unsupported-semantics, deadline, cancellation, shed, internal —
 //!   regardless of which crate they began in.
@@ -47,6 +47,9 @@
 //!   verdict.verify(&req, solver.sigma(), solver.schema()).unwrap();
 //!   ```
 //!
+//! * [`record`] — the [`RequestRecord`] each served request closes into,
+//!   and its one line: the `eqsql_net` verdict response and the trace
+//!   line alike;
 //! * [`evidence`] — the certificate types verdicts carry (witnessing
 //!   homomorphisms per containment direction, isomorphism bijections,
 //!   separating databases, minimality witnesses) and their `verify`
@@ -182,17 +185,18 @@
 //!   way — verdicts, chase step counts and cache attribution are
 //!   bit-identical with observability off and on, pinned by a randomized
 //!   differential suite.
-//! * **Per-request traces.** Each batch request carries a span
+//! * **Per-request records.** Each batch request carries a span
 //!   ([`eqsql_obs::TraceCtx`]) splitting its life into disjoint phases:
 //!   `queue` (admission wait), `regularize` (override-context
 //!   construction), `chase` (cache misses: engine time), `cache` (probes
 //!   answered from memory or disk, attributed separately), `evidence`
 //!   (counterexample search, *excluding* its nested chases — no
 //!   microsecond is double-billed, so the phase sum is ≤ wall time). The
-//!   span ends as one stable `key=value` event line through the
-//!   configured sink — including for requests that die (shed, deadline,
-//!   cancellation, panic), whose `terminal=` key says how. See
-//!   [`eqsql_obs::TraceCtx::render`] for the exact grammar.
+//!   request closes into one [`RequestRecord`], whose line
+//!   ([`RequestRecord::render`]) goes to the configured sink — including
+//!   for requests that die (shed, deadline, cancellation, panic), whose
+//!   `terminal=` key says how. It is the line the `eqsql_net` server
+//!   writes back, so the trace and the wire agree by construction.
 //! * **Aggregates.** [`Solver::stats`] adds [`SolverStats::latency`]
 //!   (a log-bucketed p50/p90/p99/max summary of observed batch-request
 //!   latencies, µs) and [`SolverStats::phase`] (cumulative per-phase
@@ -206,8 +210,8 @@
 //!   deserialization: a bigger memory capacity would help. `p99 ≫ p50`
 //!   with `retries > 0` usually means budget escalation, not noise.
 //! * **From the binary.** `eqsql-serve --metrics` dumps solver/cache
-//!   metrics at end of run, `--trace FILE` writes one event line per
-//!   request, `--progress MS` prints a periodic progress line to stderr.
+//!   metrics at end of run, `--trace FILE` writes each request's record
+//!   line, `--progress MS` prints a periodic progress line to stderr.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -217,6 +221,7 @@ pub mod cache;
 pub mod canon;
 pub mod error;
 pub mod evidence;
+pub mod record;
 pub mod request;
 pub mod solver;
 
@@ -233,12 +238,12 @@ pub use evidence::{
     BagContainmentCertificate, CertificateError, ContainmentCertificate, Counterexample,
     EquivalenceCertificate, ImplicationCounterexample,
 };
+pub use record::RequestRecord;
 pub use request::{
-    parse_request_file, parse_request_line, parse_request_line_bytes, RequestFile,
+    parse_request_file, parse_request_line, parse_request_line_bytes, request_lines, RequestFile,
     RequestParseError, MAX_LINE_BYTES,
 };
 pub use solver::{
-    AdmissionConfig, Answer, BatchOptions, BatchReport, Completion, Decided, DecisionStats,
-    PhaseTotals, Request, RequestOpts, RetryPolicy, ShedPolicy, Solver, SolverBuilder, SolverStats,
-    Verdict,
+    AdmissionConfig, Answer, BatchOptions, BatchReport, DecisionStats, PhaseTotals, Request,
+    RequestOpts, RetryPolicy, ShedPolicy, Solver, SolverBuilder, SolverStats, Verdict,
 };

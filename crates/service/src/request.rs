@@ -79,6 +79,10 @@ fn err(line: usize, message: impl Into<String>) -> RequestParseError {
     RequestParseError { line, message: message.into() }
 }
 
+/// The keywords of a request file's header lines: they configure a
+/// server at startup, and are no wire verbs.
+const HEADERS: [&str; 4] = ["sigma", "set_valued", "max_steps", "max_atoms"];
+
 /// The largest request line either parser entry point will look at, in
 /// bytes. [`parse_request_line_bytes`] rejects longer lines up front with
 /// a parse error (never by killing the connection), so a hostile client
@@ -301,15 +305,10 @@ pub fn parse_request_line(line: &str, schema: &Schema) -> Result<Request, Reques
     let rest = rest.trim();
     let raw = match raw_request(keyword, rest, 0)? {
         Some(raw) => raw,
-        None => match keyword {
-            "sigma" | "set_valued" | "max_steps" | "max_atoms" => {
-                return Err(err(
-                    0,
-                    format!("{keyword:?} is a request-file header, not a wire verb"),
-                ));
-            }
-            other => return Err(err(0, format!("unknown verb {}", snippet(other)))),
-        },
+        None if HEADERS.contains(&keyword) => {
+            return Err(err(0, format!("{keyword:?} is a request-file header, not a wire verb")));
+        }
+        None => return Err(err(0, format!("unknown verb {}", snippet(keyword)))),
     };
     // Seed with the server schema so conflicting uses error in
     // `note_atoms`; afterwards, anything not seeded is a new relation.
@@ -349,6 +348,18 @@ pub fn parse_request_line_bytes(
     let line = std::str::from_utf8(bytes)
         .map_err(|e| err(0, format!("request line is not valid UTF-8: {e}")))?;
     parse_request_line(line, schema)
+}
+
+/// The wire-sendable lines of a request-file text: its verb lines, in
+/// file order. Headers configure a server at startup; comments and blanks
+/// carry nothing.
+pub fn request_lines(text: &str) -> Vec<String> {
+    text.lines()
+        .map(str::trim)
+        .filter(|l| !l.is_empty() && !l.starts_with('#'))
+        .filter(|l| !HEADERS.contains(&l.split(':').next().unwrap_or_default().trim()))
+        .map(str::to_string)
+        .collect()
 }
 
 /// Parses the request format described in the module docs.

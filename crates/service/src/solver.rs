@@ -45,13 +45,14 @@
 //! minimality sweep, a batch of equivalence probes over one Σ) share
 //! terminal chase results automatically.
 
-use crate::cache::{CacheConfig, ChaseCache};
+use crate::cache::{CacheConfig, CacheOutcome, ChaseCache};
 use crate::canon::ChaseContext;
 use crate::error::Error;
 use crate::evidence::{
     BagContainmentCertificate, ContainmentCertificate, Counterexample, EquivalenceCertificate,
     ImplicationCounterexample,
 };
+use crate::record::RequestRecord;
 use eqsql_chase::instance::chase_database;
 use eqsql_chase::{Cancel, ChaseConfig, ChaseError, EngineOpts, FaultPlan, RunGuard, SoundChased};
 use eqsql_core::bag_containment::{find_non_containment_witness, onto_containment_mapping};
@@ -558,53 +559,16 @@ impl Verdict {
     }
 }
 
-/// One request's completion, handed to the [`Solver::decide_all_streaming`]
-/// callback the moment the request decides — shed at intake, decided by a
-/// worker, or isolated after a panic — rather than at batch end. The same
-/// verdict also lands in the returned [`BatchReport`] at `index`.
-pub struct Completion<'a> {
-    /// The request's index in the batch's `requests` slice.
-    pub index: usize,
-    /// The verdict (borrowed; cloned into the [`BatchReport`]).
-    pub verdict: &'a Result<Verdict, Error>,
-    /// Per-decision accounting.
-    pub stats: DecisionStats,
-    /// Wall µs from batch intake.
-    pub wall_us: u64,
-    /// Per-phase µs in [`PHASES`] order, when the solver is observing
-    /// (`None` on the timestamp-free fast path).
-    pub phase_us: Option<[u64; 5]>,
-}
-
-/// What one request came to — returned by [`Solver::decide_request`] and
-/// [`Solver::shed_request`], the per-request steps that
-/// [`Solver::decide_all_streaming`] and a network server's decision pool
-/// share.
-#[derive(Debug)]
-pub struct Decided {
-    /// The verdict.
-    pub verdict: Result<Verdict, Error>,
-    /// Per-decision accounting.
-    pub stats: DecisionStats,
-    /// Wall µs from the request's arrival (the `arrived` instant the
-    /// caller passed), so the queue wait is inside it.
-    pub wall_us: u64,
-    /// Per-phase µs in [`PHASES`] order, when the solver is observing
-    /// (`None` on the timestamp-free fast path).
-    pub phase_us: Option<[u64; 5]>,
-}
-
-impl Decided {
-    /// The streaming-callback view of this outcome, for batch slot `index`.
-    fn completion(&self, index: usize) -> Completion<'_> {
-        Completion {
-            index,
-            verdict: &self.verdict,
-            stats: self.stats,
-            wall_us: self.wall_us,
-            phase_us: self.phase_us,
-        }
-    }
+/// A request's counters, summed over its attempts: what its
+/// [`RequestRecord`] reports besides the verdict and the clock.
+#[derive(Default)]
+struct Tally {
+    stats: DecisionStats,
+    mem_hits: u64,
+    disk_hits: u64,
+    attempts: u32,
+    engine_steps: u64,
+    scans: u64,
 }
 
 /// A batch of decisions: verdicts in request order plus aggregate
@@ -614,7 +578,8 @@ pub struct BatchReport {
     /// `verdicts[i]` answers `requests[i]`.
     pub verdicts: Vec<Result<Verdict, Error>>,
     /// Aggregate accounting across the batch (hits/misses/steps are summed
-    /// over all requests, including ones that ended in an error).
+    /// over all requests and all their attempts, including ones that ended
+    /// in an error).
     pub stats: DecisionStats,
     /// Worker threads used.
     pub threads: usize,
@@ -737,10 +702,10 @@ impl SolverBuilder {
     }
 
     /// Installs a per-request trace sink: every batch request (including
-    /// shed and dead ones) emits one structured `key=value` event line
-    /// (see [`TraceCtx::render`]). Configuring a sink turns observation
-    /// on for this solver regardless of the global [`eqsql_obs::enabled`]
-    /// flag — the sink is an explicit opt-in.
+    /// shed and dead ones) emits its [`RequestRecord::render`] line.
+    /// Configuring a sink turns observation on for this solver regardless
+    /// of the global [`eqsql_obs::enabled`] flag — the sink is an explicit
+    /// opt-in.
     pub fn trace_sink(mut self, sink: Arc<dyn TraceSink>) -> SolverBuilder {
         self.trace_sink = Some(sink);
         self
@@ -831,15 +796,6 @@ impl Default for RunEnv<'_> {
     }
 }
 
-/// One observed request's bundle: its span, its event id (the request's
-/// index in a batch, or a network client's wire id) and the instant wall
-/// time counts from (its arrival, so the queue wait is inside the wall).
-struct TraceObs<'a> {
-    ctx: &'a TraceCtx,
-    req: u64,
-    origin: Instant,
-}
-
 /// Best-effort extraction of a panic payload's message (the `&str` and
 /// `String` payloads `panic!` produces cover practically everything).
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -862,9 +818,9 @@ fn sem_index(sem: Semantics) -> usize {
 
 /// The Solver's [`SoundChaser`]: routes every chase through the shared
 /// cache (precomputed context keys on the default-budget path, on-demand
-/// keys for overrides) and counts hits/misses/steps for per-decision
-/// attribution. The `sigma` parameter of the trait is ignored — the
-/// Solver always chases against its own (pre-regularized) Σ.
+/// keys for overrides) and counts memory hits, disk hits, misses and steps
+/// for per-attempt attribution. The `sigma` parameter of the trait is
+/// ignored — the Solver always chases against its own (pre-regularized) Σ.
 struct SolverChaser<'a> {
     solver: &'a Solver,
     config: ChaseConfig,
@@ -877,7 +833,8 @@ struct SolverChaser<'a> {
     /// issues hundreds of chases, and each context build re-hashes the
     /// rendered Σ.
     override_ctx: [OnceLock<ChaseContext>; 3],
-    hits: AtomicU64,
+    mem_hits: AtomicU64,
+    disk_hits: AtomicU64,
     misses: AtomicU64,
     steps: AtomicU64,
     /// The decision's trace span, when observing. `None` skips every
@@ -932,15 +889,15 @@ impl SoundChaser for SolverChaser<'_> {
                 let (result, outcome) = chase();
                 let us = started.elapsed().as_micros() as u64;
                 t.add_us(if outcome.is_hit() { Phase::Cache } else { Phase::Chase }, us);
-                match outcome {
-                    crate::cache::CacheOutcome::MemoryHit => t.mem_hit(),
-                    crate::cache::CacheOutcome::DiskHit => t.disk_hit(),
-                    crate::cache::CacheOutcome::Miss => t.miss(),
-                }
                 (result, outcome)
             }
         };
-        if outcome.is_hit() { &self.hits } else { &self.misses }.fetch_add(1, Ordering::Relaxed);
+        match outcome {
+            CacheOutcome::MemoryHit => &self.mem_hits,
+            CacheOutcome::DiskHit => &self.disk_hits,
+            CacheOutcome::Miss => &self.misses,
+        }
+        .fetch_add(1, Ordering::Relaxed);
         if let Ok(r) = &result {
             self.steps.fetch_add(r.steps as u64, Ordering::Relaxed);
         }
@@ -1014,26 +971,51 @@ impl Solver {
         self.trace_sink.is_some() || eqsql_obs::enabled()
     }
 
-    /// Records a finished (or dead) observed request: latency histogram,
-    /// per-phase totals, and the event line if a sink is configured.
-    fn finish_traced(
+    /// The span of a request that arrived at `arrived`, while observing:
+    /// its queue phase runs from the arrival to now.
+    fn span(&self, arrived: Instant) -> Option<TraceCtx> {
+        self.observing().then(|| {
+            let span = TraceCtx::new();
+            span.add_us(Phase::Queue, arrived.elapsed().as_micros() as u64);
+            span
+        })
+    }
+
+    /// Closes request `id`'s record: reads the clock once and, for an
+    /// observed request, feeds the latency histogram, the phase totals and
+    /// the trace sink.
+    fn close(
         &self,
+        id: u64,
         request: &Request,
-        out: &(Result<Verdict, Error>, DecisionStats),
-        obs: &TraceObs<'_>,
-    ) {
-        let wall_us = obs.origin.elapsed().as_micros() as u64;
-        self.latency.record(wall_us);
-        for (k, p) in PHASES.iter().enumerate() {
-            self.phase_totals[k].fetch_add(obs.ctx.phase_us(*p), Ordering::Relaxed);
+        verdict: Result<Verdict, Error>,
+        tally: Tally,
+        arrived: Instant,
+        span: Option<TraceCtx>,
+    ) -> RequestRecord {
+        let record = RequestRecord {
+            id,
+            verb: request.label(),
+            verdict,
+            stats: tally.stats,
+            mem_hits: tally.mem_hits,
+            disk_hits: tally.disk_hits,
+            attempts: tally.attempts,
+            engine_steps: tally.engine_steps,
+            scans: tally.scans,
+            wall_us: arrived.elapsed().as_micros() as u64,
+            phase_us: span.map(|span| PHASES.map(|p| span.phase_us(p))),
+        };
+        if let Some(phase_us) = record.phase_us {
+            self.latency.record(record.wall_us);
+            for (total, us) in self.phase_totals.iter().zip(phase_us) {
+                total.fetch_add(us, Ordering::Relaxed);
+            }
+            if let Some(sink) = &self.trace_sink {
+                sink.emit(&record.render());
+            }
         }
-        if let Some(sink) = &self.trace_sink {
-            let (outcome, terminal) = match &out.0 {
-                Ok(v) => (v.answer.label(), "ok"),
-                Err(e) => e.labels(),
-            };
-            sink.emit(&obs.ctx.render(obs.req, request.label(), outcome, terminal, wall_us));
-        }
+        record
     }
 
     fn effective_config(&self, opts: &RequestOpts) -> ChaseConfig {
@@ -1053,11 +1035,11 @@ impl Solver {
     /// [`RequestOpts::deadline_ms`] applies; for batch-level cancellation,
     /// admission and retry, use [`Solver::decide_all_streaming`].
     pub fn decide(&self, request: &Request) -> Result<Verdict, Error> {
-        self.decide_counted(request, &RunEnv::default()).0
+        self.decide_counted(request, &RunEnv::default(), &mut Tally::default())
     }
 
     /// [`Solver::decide_all_streaming`] under default [`BatchOptions`] and
-    /// without a completion hook: no cancellation handle, no batch
+    /// without a record callback: no cancellation handle, no batch
     /// deadline, admit everything, one attempt per request.
     pub fn decide_all(&self, requests: &[Request]) -> BatchReport {
         self.decide_all_streaming(requests, &BatchOptions::default(), &|_| {})
@@ -1083,24 +1065,24 @@ impl Solver {
     /// * **cancellation / deadline** — [`BatchOptions::cancel`] and
     ///   [`BatchOptions::deadline_ms`] guard every admitted request.
     ///
-    /// `on_complete` fires from whichever worker thread finished the
-    /// request (or synchronously at intake for shed requests), as soon as
-    /// its verdict exists — not at batch end, so a caller can report
-    /// verdicts while the rest of the batch is still deciding; pass
-    /// `&|_| {}` to wait for the [`BatchReport`] alone. The callback must
-    /// be `Sync` (workers call it concurrently) and should be quick: it
-    /// runs on the worker's time. Each request's trace event carries its
-    /// index in `requests` as `req=`.
+    /// `on_complete` receives each request's [`RequestRecord`] from
+    /// whichever worker thread finished the request (or synchronously at
+    /// intake for shed requests), as soon as it closes — not at batch end,
+    /// so a caller can report verdicts while the rest of the batch is
+    /// still deciding; pass `&|_| {}` to wait for the [`BatchReport`]
+    /// alone. The callback must be `Sync` (workers call it concurrently)
+    /// and should be quick: it runs on the worker's time. A record's `id`
+    /// is the request's index in `requests`.
     pub fn decide_all_streaming(
         &self,
         requests: &[Request],
         opts: &BatchOptions,
-        on_complete: &(dyn Fn(Completion<'_>) + Sync),
+        on_complete: &(dyn Fn(&RequestRecord) + Sync),
     ) -> BatchReport {
         let start = Instant::now();
         self.batches.fetch_add(1, Ordering::Relaxed);
         let n = requests.len();
-        let slots: Vec<OnceLock<Decided>> = (0..n).map(|_| OnceLock::new()).collect();
+        let slots: Vec<OnceLock<RequestRecord>> = (0..n).map(|_| OnceLock::new()).collect();
         // Admission: a bounded queue filled in request order. RejectNew
         // sheds each arrival past capacity; CancelOldest sheds the oldest
         // *waiting* request to admit the newcomer. Intake is synchronous
@@ -1125,19 +1107,19 @@ impl Solver {
                         }
                     };
                     shed += 1;
-                    let d =
+                    let record =
                         self.shed_request(&requests[victim], adm.capacity, start, victim as u64);
-                    on_complete(d.completion(victim));
-                    let _ = slots[victim].set(d);
+                    on_complete(&record);
+                    let _ = slots[victim].set(record);
                 }
             }
         }
         let workers = self.threads.min(admitted.len()).max(1);
         let next = AtomicUsize::new(0);
         let run = |i: usize| {
-            let d = self.decide_request(&requests[i], opts, start, i as u64);
-            on_complete(d.completion(i));
-            d
+            let record = self.decide_request(&requests[i], opts, start, i as u64);
+            on_complete(&record);
+            record
         };
         if workers == 1 {
             for &i in &admitted {
@@ -1162,7 +1144,7 @@ impl Solver {
             // a scheduling defect, reported as such rather than panicking
             // the batch.
             let (verdict, d) =
-                slot.into_inner().map(|d| (d.verdict, d.stats)).unwrap_or_else(|| {
+                slot.into_inner().map(|r| (r.verdict, r.stats)).unwrap_or_else(|| {
                     (
                         Err(Error::internal("request slot was never decided")),
                         DecisionStats::default(),
@@ -1183,121 +1165,88 @@ impl Solver {
     /// consulted — admitting is the caller's step, and a request it turns
     /// away goes to [`Solver::shed_request`] instead. While the solver is
     /// observing, the request's queue phase runs from `arrived` to this
-    /// call, and its trace event names it `req=id`. This is the per-request
-    /// body of [`Solver::decide_all_streaming`], and the step a network
-    /// server's decision pool runs for each request read off a socket.
+    /// call. The record carries `id`. This is the per-request body of
+    /// [`Solver::decide_all_streaming`], and the step a network server's
+    /// decision pool runs for each request read off a socket.
     pub fn decide_request(
         &self,
         request: &Request,
         opts: &BatchOptions,
         arrived: Instant,
         id: u64,
-    ) -> Decided {
-        let (decided, phase_us) = if self.observing() {
-            let ctx = TraceCtx::new();
-            ctx.add_us(Phase::Queue, arrived.elapsed().as_micros() as u64);
-            let obs = TraceObs { ctx: &ctx, req: id, origin: arrived };
-            let decided = self.decide_resilient(request, opts, Some(&obs));
-            (decided, Some(PHASES.map(|p| ctx.phase_us(p))))
-        } else {
-            (self.decide_resilient(request, opts, None), None)
-        };
-        Decided {
-            verdict: decided.0,
-            stats: decided.1,
-            wall_us: arrived.elapsed().as_micros() as u64,
-            phase_us,
-        }
+    ) -> RequestRecord {
+        let span = self.span(arrived);
+        let mut tally = Tally::default();
+        let verdict = self.decide_resilient(request, opts, span.as_ref(), &mut tally);
+        self.close(id, request, verdict, tally, arrived, span)
     }
 
     /// Answers a request that admission turned away, without deciding it:
     /// an [`Error::Shed`] verdict naming `capacity`, counted in
-    /// [`SolverStats::shed`]. While observing, it still emits a complete
-    /// trace event (`req=id`) whose whole life was queue wait.
+    /// [`SolverStats::shed`], with no attempt. While observing, its record
+    /// still reaches the trace sink, and its whole life was queue wait.
     pub fn shed_request(
         &self,
         request: &Request,
         capacity: usize,
         arrived: Instant,
         id: u64,
-    ) -> Decided {
+    ) -> RequestRecord {
         self.shed.fetch_add(1, Ordering::Relaxed);
-        let rejection = (Err(Error::Shed { capacity }), DecisionStats::default());
-        let mut phase_us = None;
-        if self.observing() {
-            let ctx = TraceCtx::new();
-            ctx.add_us(Phase::Queue, arrived.elapsed().as_micros() as u64);
-            let obs = TraceObs { ctx: &ctx, req: id, origin: arrived };
-            self.finish_traced(request, &rejection, &obs);
-            phase_us = Some(PHASES.map(|p| ctx.phase_us(p)));
-        }
-        Decided {
-            verdict: rejection.0,
-            stats: rejection.1,
-            wall_us: arrived.elapsed().as_micros() as u64,
-            phase_us,
-        }
+        let span = self.span(arrived);
+        let verdict = Err(Error::Shed { capacity });
+        self.close(id, request, verdict, Tally::default(), arrived, span)
     }
 
     /// One worker-loop iteration: panic isolation around the decision,
-    /// plus the retry-with-escalated-budget loop.
+    /// plus the retry-with-escalated-budget loop. Every attempt adds its
+    /// counts to `tally`.
     fn decide_resilient(
         &self,
         request: &Request,
         opts: &BatchOptions,
-        obs: Option<&TraceObs<'_>>,
-    ) -> (Result<Verdict, Error>, DecisionStats) {
+        trace: Option<&TraceCtx>,
+        tally: &mut Tally,
+    ) -> Result<Verdict, Error> {
         let retry = opts.retry.unwrap_or(RetryPolicy { max_attempts: 1, budget_multiplier: 1 });
         let mut scale: u32 = 1;
-        let mut attempt: u32 = 1;
         loop {
-            if let Some(o) = obs {
-                o.ctx.attempt();
-            }
             let env = RunEnv {
                 cancel: opts.cancel.as_ref(),
                 deadline_ms: opts.deadline_ms,
                 budget_scale: scale,
-                trace: obs.map(|o| o.ctx),
+                trace,
             };
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                self.decide_counted(request, &env)
+                self.decide_counted(request, &env, tally)
             }));
             match outcome {
                 Err(payload) => {
                     self.panics.fetch_add(1, Ordering::Relaxed);
-                    let message = panic_message(payload.as_ref());
-                    let dead = (Err(Error::Internal { message }), DecisionStats::default());
-                    if let Some(o) = obs {
-                        self.finish_traced(request, &dead, o);
-                    }
-                    return dead;
+                    return Err(Error::Internal { message: panic_message(payload.as_ref()) });
                 }
-                Ok((Err(Error::BudgetExhausted { .. }), _))
-                    if attempt < retry.max_attempts.max(1) =>
+                Ok(Err(Error::BudgetExhausted { .. }))
+                    if tally.attempts < retry.max_attempts.max(1) =>
                 {
-                    attempt += 1;
                     scale = scale.saturating_mul(retry.budget_multiplier.max(1));
                     self.retries.fetch_add(1, Ordering::Relaxed);
                 }
-                Ok(decided) => {
-                    if let Some(o) = obs {
-                        self.finish_traced(request, &decided, o);
-                    }
-                    return decided;
-                }
+                Ok(verdict) => return verdict,
             }
         }
     }
 
-    /// [`Solver::decide`] plus the decision's accounting even when the
-    /// decision errored (errors still spend chases).
+    /// [`Solver::decide`] that adds the attempt's accounting to `tally`,
+    /// even when the decision errored (errors still spend chases). An `Ok`
+    /// verdict carries the tally's stats: those of every attempt so far.
     fn decide_counted(
         &self,
         request: &Request,
         env: &RunEnv<'_>,
-    ) -> (Result<Verdict, Error>, DecisionStats) {
+        tally: &mut Tally,
+    ) -> Result<Verdict, Error> {
         let start = Instant::now();
+        tally.attempts += 1;
         self.requests.fetch_add(1, Ordering::Relaxed);
         let opts = request.opts();
         let mut config = self.effective_config(opts);
@@ -1325,7 +1274,8 @@ impl Solver {
             config,
             engine,
             override_ctx: [OnceLock::new(), OnceLock::new(), OnceLock::new()],
-            hits: AtomicU64::new(0),
+            mem_hits: AtomicU64::new(0),
+            disk_hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             steps: AtomicU64::new(0),
             trace: env.trace,
@@ -1339,17 +1289,19 @@ impl Solver {
             guard.check(chaser.steps.load(Ordering::Relaxed) as usize)?;
             Ok(answer)
         });
-        let stats = DecisionStats {
-            chase_steps: chaser.steps.load(Ordering::Relaxed),
-            cache_hits: chaser.hits.load(Ordering::Relaxed),
-            cache_misses: chaser.misses.load(Ordering::Relaxed),
-            wall: start.elapsed(),
-        };
-        if let (Some(t), Some(p)) = (env.trace, &probe) {
-            t.add_steps(stats.chase_steps);
-            t.add_engine_work(p.steps(), p.scans());
+        let (mem_hits, disk_hits) =
+            (chaser.mem_hits.load(Ordering::Relaxed), chaser.disk_hits.load(Ordering::Relaxed));
+        tally.stats.chase_steps += chaser.steps.load(Ordering::Relaxed);
+        tally.stats.cache_hits += mem_hits + disk_hits;
+        tally.stats.cache_misses += chaser.misses.load(Ordering::Relaxed);
+        tally.stats.wall += start.elapsed();
+        tally.mem_hits += mem_hits;
+        tally.disk_hits += disk_hits;
+        if let Some(p) = &probe {
+            tally.engine_steps += p.steps();
+            tally.scans += p.scans();
         }
-        (answer.map(|answer| Verdict { answer, stats }), stats)
+        answer.map(|answer| Verdict { answer, stats: tally.stats })
     }
 
     fn answer(&self, request: &Request, chaser: &SolverChaser<'_>) -> Result<Answer, Error> {
@@ -2112,8 +2064,8 @@ mod tests {
         let lines = sink.lines();
         assert_eq!(lines.len(), 2, "one event per request: {lines:?}");
         for (i, line) in lines.iter().enumerate() {
-            assert!(line.starts_with("event=request "), "{line}");
-            assert!(line.contains(&format!("req={i} ")), "{line}");
+            assert!(line.starts_with("verdict "), "{line}");
+            assert!(line.contains(&format!("id={i} ")), "{line}");
             assert!(line.contains("verb=equivalent "), "{line}");
             assert!(line.contains("terminal=ok "), "{line}");
         }

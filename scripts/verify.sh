@@ -55,10 +55,10 @@ echo "$OBS_OUT" | grep -q '^metric: latency count=13 ' \
     || { echo "obs smoke: latency metric missing or not 13 samples" >&2; exit 1; }
 echo "$OBS_OUT" | grep -Eq '^metric: phase queue_us=[0-9]+ regularize_us=[0-9]+ chase_us=[0-9]+ cache_us=[0-9]+ evidence_us=[0-9]+$' \
     || { echo "obs smoke: phase metric line missing" >&2; exit 1; }
-# Exactly one structured event per request, each with non-negative phase
+# Exactly one record line per request, each with non-negative phase
 # timings that sum to at most the request's wall time.
-[ "$(grep -c '^event=request ' "$TRACE_FILE")" -eq 13 ] \
-    || { echo "obs smoke: expected 13 request events in the trace" >&2; exit 1; }
+[ "$(grep -c '^verdict ' "$TRACE_FILE")" -eq 13 ] \
+    || { echo "obs smoke: expected 13 verdict lines in the trace" >&2; exit 1; }
 awk '
   {
     delete kv
@@ -139,8 +139,9 @@ fi
 
 echo "== net smoke (eqsql-serve --listen: four clients on two deciders, then two clients and a graceful drain)"
 NET_LOG="$(mktemp)"
-trap 'rm -rf "$CACHE_DIR"; rm -f "$NET_LOG"' EXIT
-cargo run -q -p eqsql-net --bin eqsql-serve -- \
+NET_TRACE="$(mktemp)"
+trap 'rm -rf "$CACHE_DIR"; rm -f "$NET_LOG" "$NET_TRACE"' EXIT
+cargo run -q -p eqsql-net --bin eqsql-serve -- --trace "$NET_TRACE" \
     --threads 2 --listen 127.0.0.1:0 crates/service/fixtures/smoke.req > "$NET_LOG" 2>&1 &
 NET_PID=$!
 NET_ADDR=""
@@ -173,5 +174,8 @@ wait "$NET_PID" \
     || { cat "$NET_LOG" >&2; echo "net smoke: drained server exited nonzero" >&2; exit 1; }
 grep -Eq '^net: 7 connection\(s\) accepted, 0 rejected, 26 request\(s\) served' "$NET_LOG" \
     || { cat "$NET_LOG" >&2; echo "net smoke: final net accounting line wrong" >&2; exit 1; }
+# The trace holds the record line of every served request.
+[ "$(grep -c '^verdict ' "$NET_TRACE")" -eq 26 ] \
+    || { echo "net smoke: expected 26 verdict lines in the trace" >&2; exit 1; }
 
 echo "verify: OK"

@@ -269,6 +269,49 @@ fn budget_exhaustion_retries_with_an_escalated_budget() {
     assert!(solver.stats().cache.hits > hits_before);
 }
 
+/// A retried request reports one set of counts, summed over its attempts:
+/// the callback's record, the trace line, the verdict's own stats and the
+/// batch report agree, and the record and the trace line read one clock.
+#[test]
+fn a_retried_request_reports_one_set_of_counts() {
+    use eqsql_net::{proto::parse_response, Response};
+    use eqsql_service::{DecisionStats, TraceSink, VecSink};
+    use std::sync::{Arc, Mutex};
+    let (sigma, schema) = chain_fixture();
+    let sink = Arc::new(VecSink::new());
+    let solver = Solver::builder(sigma, schema)
+        .chase_config(ChaseConfig::with_max_steps(2))
+        .trace_sink(Arc::clone(&sink) as Arc<dyn TraceSink>)
+        .build();
+    let batch = vec![equiv("q(X) :- a(X)", "q(X) :- a(X), f(X)", RequestOpts::default())];
+    let opts = BatchOptions {
+        retry: Some(RetryPolicy { max_attempts: 2, budget_multiplier: 4 }),
+        ..BatchOptions::default()
+    };
+    let records = Mutex::new(Vec::new());
+    let report =
+        solver.decide_all_streaming(&batch, &opts, &|r| records.lock().unwrap().push(r.clone()));
+    let records = records.into_inner().unwrap();
+    let lines = sink.lines();
+    let ([record], [line]) = (&records[..], &lines[..]) else {
+        panic!("one record and one trace line: {records:?} {lines:?}")
+    };
+    let Response::Verdict(traced) = parse_response(line) else { panic!("not a verdict: {line}") };
+    let verdict = report.verdicts[0].as_ref().expect("the escalated attempt decides the pair");
+
+    assert_eq!(record.attempts, 2);
+    assert!(line.contains(" attempts=2 "), "{line}");
+    let counts = |s: DecisionStats| (s.chase_steps, s.cache_hits, s.cache_misses);
+    let want = counts(record.stats);
+    assert_eq!((traced.steps, traced.hits, traced.misses), want, "{line}");
+    assert_eq!(counts(verdict.stats), want);
+    assert_eq!(counts(report.stats), want);
+    assert_eq!(traced.wall_us, record.wall_us, "{line}");
+    // The first attempt missed on the left query and exhausted its budget;
+    // the second missed on both queries at the escalated budget.
+    assert_eq!(record.stats.cache_misses, 3, "{line}");
+}
+
 /// `Error::BudgetExhausted` stays cacheable — the one stable error class —
 /// while the guard errors are not; the request-level `is_transient`
 /// mirrors the chase-level `is_cacheable` split.
@@ -355,7 +398,7 @@ fn dead_requests_still_emit_complete_trace_events() {
     let lines = sink.lines();
     assert_eq!(lines.len(), batch.len(), "every expired request is logged");
     for line in &lines {
-        assert!(line.starts_with("event=request "), "{line}");
+        assert!(line.starts_with("verdict "), "{line}");
         assert!(line.contains(" outcome=deadline-exceeded "), "{line}");
         assert!(line.contains(" terminal=deadline "), "{line}");
         for key in PHASE_KEYS {
@@ -386,7 +429,7 @@ fn dead_requests_still_emit_complete_trace_events() {
     let shed: Vec<_> = lines.iter().filter(|l| l.contains(" terminal=shed ")).collect();
     assert_eq!(shed.len(), 2);
     for line in &shed {
-        assert!(line.starts_with("event=request "), "{line}");
+        assert!(line.starts_with("verdict "), "{line}");
         assert!(line.contains(" outcome=shed "), "{line}");
         for key in PHASE_KEYS {
             assert!(line.contains(&format!(" {key}")), "{line} missing {key}");

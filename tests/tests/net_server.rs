@@ -7,11 +7,10 @@
 //! clean close, and hostile input (malformed lines, over-limit
 //! connections) must degrade per-line / per-connection, never per-server.
 
-use eqsql_bench::workloads::request_lines;
 use eqsql_net::{Client, Response, Server, ServerConfig, ServerReport};
 use eqsql_service::{
-    parse_request_file, AdmissionConfig, BatchOptions, ShedPolicy, Solver, SolverBuilder,
-    TraceSink, VecSink,
+    parse_request_file, request_lines, AdmissionConfig, BatchOptions, ShedPolicy, Solver,
+    SolverBuilder, TraceSink, VecSink,
 };
 use std::collections::HashMap;
 use std::path::Path;
@@ -349,7 +348,8 @@ fn shedding_spares_the_deciding_request() {
     }
 }
 
-/// Socket-path trace events name each request by the client's wire id.
+/// Socket-path trace lines name each request by the client's wire id,
+/// and each is the very line the client received for that id.
 #[test]
 fn socket_trace_events_carry_wire_ids() {
     let text = smoke_text();
@@ -360,8 +360,10 @@ fn socket_trace_events_carry_wire_ids() {
     for id in [7, 9, 11] {
         client.send_raw(&format!("id={id} minimal: set | q4(X) :- p(X,Y)")).expect("send");
     }
+    let mut received = HashMap::new();
     for _ in 0..3 {
-        client.recv_verdict().expect("recv").expect("verdict");
+        let v = client.recv_verdict().expect("recv").expect("verdict");
+        received.insert(v.id, format!("{v:?}"));
     }
     drop(client);
     server.drain();
@@ -370,7 +372,11 @@ fn socket_trace_events_carry_wire_ids() {
         .lines()
         .iter()
         .map(|line| {
-            let tok = line.split(' ').find_map(|t| t.strip_prefix("req=")).expect("req= key");
+            let Response::Verdict(traced) = eqsql_net::proto::parse_response(line) else {
+                panic!("the trace line is not a verdict line: {line}");
+            };
+            assert_eq!(Some(&format!("{traced:?}")), received.get(&traced.id), "{line}");
+            let tok = line.split(' ').find_map(|t| t.strip_prefix("id=")).expect("id= key");
             tok.parse().expect("numeric req")
         })
         .collect();

@@ -78,7 +78,7 @@ fn run_suite(observe: bool) -> Vec<Observation> {
             let lines = sink.lines();
             assert_eq!(lines.len(), batch.len(), "round {round}: one event per request");
             for line in &lines {
-                assert!(line.starts_with("event=request "), "round {round}: {line}");
+                assert!(line.starts_with("verdict "), "round {round}: {line}");
                 assert!(line.contains(" wall_us="), "round {round}: {line}");
                 assert!(line.contains(" verb=equivalent "), "round {round}: {line}");
             }
