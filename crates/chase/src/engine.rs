@@ -39,10 +39,12 @@
 //!    step, with its conclusion extension intact, so its verdict carries
 //!    over (see `docs` on `fire_order_matches_reference` in the tests).
 //!
-//! Boxed values appear only at observable boundaries: trace strings, the
-//! materialized terminal query, and the `Subst`s handed to custom
-//! admission predicates — the boxed↔arena contract documented in
-//! [`eqsql_cq::arena`].
+//! Boxed values appear only at observable boundaries: the materialized
+//! terminal query and the `Subst`s handed to custom admission predicates
+//! — the boxed↔arena contract documented in [`eqsql_cq::arena`]. The step
+//! trace is a [`ChaseTrace`] of typed records (dependency index, body
+//! size, the fired binding's terms), so committing a step builds no
+//! string; rendering waits for a reader.
 //!
 //! With the default [`EngineOpts`] the engine fires, at every step, the
 //! same dependency the reference driver would (the lowest-indexed
@@ -97,11 +99,12 @@
 use crate::error::{ChaseConfig, ChaseError};
 use crate::guard::RunGuard;
 use crate::index::BodyIndex;
-use crate::set_chase::{Chased, TraceEntry};
+use crate::set_chase::Chased;
 use crate::step::{classify_egd_images, rename_dep_apart_mapped, DedupPolicy};
+use crate::trace::ChaseTrace;
 use eqsql_cq::{
-    ArenaDelta, ArenaFrame, ArenaPlan, Atom, CqQuery, EqOp, Predicate, SeedMap, Subst, Term,
-    TermArena, TermId, Var, VarSupply,
+    ArenaDelta, ArenaFrame, ArenaPlan, CqQuery, EqOp, Predicate, SeedMap, Subst, Term, TermArena,
+    TermId, Var, VarSupply,
 };
 use eqsql_deps::{Dependency, DependencySet, Tgd};
 use eqsql_obs::StepProbe;
@@ -435,8 +438,9 @@ fn scan_tgd(
 /// Runs the chase with the incremental indexed engine. Under the default
 /// [`EngineOpts`] its semantics (firing order, budgets, trace, renaming
 /// bookkeeping) match [`crate::reference::chase_with_policy_reference`]
-/// exactly; see the module docs for why. `opts` adds delta-seeded premise
-/// search, a run guard and a step probe.
+/// exactly, up to the names of chase-minted variables when the query's
+/// variables collide with Σ's; see the module docs for why. `opts` adds
+/// delta-seeded premise search, a run guard and a step probe.
 pub fn chase_indexed(
     q: &CqQuery,
     sigma: &DependencySet,
@@ -483,7 +487,7 @@ pub fn chase_indexed(
 
     let mut steps = 0usize;
     let mut renaming = Subst::new();
-    let mut trace: Vec<TraceEntry> = Vec::new();
+    let mut trace = ChaseTrace::new();
 
     macro_rules! terminal {
         ($failed:expr) => {
@@ -594,12 +598,7 @@ pub fn chase_indexed(
                 continue;
             }
             Scan::EgdFailed => {
-                trace.push(TraceEntry {
-                    dep_index: i,
-                    dep: deps[i].to_string(),
-                    action: "equated distinct constants: chase failed".into(),
-                    body_size: index.len(),
-                });
+                trace.push_failed(i, index.len());
                 return terminal!(true);
             }
             Scan::EgdFire(from, to) => {
@@ -613,12 +612,7 @@ pub fn chase_indexed(
                 steps += 1;
                 index.advance_gen();
                 opts.probe.on_step();
-                trace.push(TraceEntry {
-                    dep_index: i,
-                    dep: deps[i].to_string(),
-                    action: format!("egd: {from} := {to}"),
-                    body_size: index.len(),
-                });
+                trace.push_egd(i, index.len(), from, to);
                 // The substitution rewrote at least one atom of the egd's
                 // own premise image, so `changed` re-arms it along with
                 // every other listener. The watermark is NOT advanced:
@@ -660,7 +654,6 @@ pub fn chase_indexed(
                         exist_ids.push(index.arena_mut().intern(fresh));
                     }
                     let mut added_preds: Vec<Predicate> = Vec::new();
-                    let mut added: Vec<Atom> = Vec::with_capacity(dp.conclusion.len());
                     for (table, ops) in &dp.conclusion {
                         arg_ids.clear();
                         for op in ops {
@@ -670,14 +663,7 @@ pub fn chase_indexed(
                                 ConOp::Exist(e) => exist_ids[*e as usize],
                             });
                         }
-                        // The trace lists every instantiated rhs atom,
-                        // inserted or deduped away (as the reference does)
-                        // — a boundary conversion.
                         let pred = index.arena().table(*table).key().0;
-                        added.push(Atom {
-                            pred,
-                            args: arg_ids.iter().map(|&id| index.arena().term(id)).collect(),
-                        });
                         if index.insert_ids(*table, &arg_ids, dedup) && !added_preds.contains(&pred)
                         {
                             added_preds.push(pred);
@@ -686,15 +672,14 @@ pub fn chase_indexed(
                     steps += 1;
                     index.advance_gen();
                     opts.probe.on_step();
-                    trace.push(TraceEntry {
-                        dep_index: i,
-                        dep: deps[i].to_string(),
-                        action: format!(
-                            "tgd: added {}",
-                            added.iter().map(|a| a.to_string()).collect::<Vec<_>>().join(" ∧ ")
-                        ),
-                        body_size: index.len(),
-                    });
+                    // The binding in premise slot order, then the minted
+                    // existentials: the record layout of `binding_vars`.
+                    let arena = index.arena();
+                    trace.push_tgd(
+                        i,
+                        index.len(),
+                        slots.iter().chain(&exist_ids).map(|&id| arena.term(id)),
+                    );
                     worklist.wake_subscribers(&added_preds);
                 }
                 // The same tgd may be applicable through another
@@ -749,9 +734,18 @@ mod tests {
         (indexed, reference)
     }
 
+    /// The `(dep_index, body_size)` sequence of a chase's trace.
+    fn step_seq(c: &Chased) -> Vec<(usize, usize)> {
+        c.trace.entries().iter().map(|e| (e.dep_index, e.body_size)).collect()
+    }
+
     /// The scheduling argument in the module docs, exercised: on inputs
     /// mixing tgds and egds the engine fires the same dependency sequence
-    /// as the reference (same step count, same per-step dep indices).
+    /// as the reference (same step count, same per-step dep indices and
+    /// body sizes). The queries share variable names with Σ, so the
+    /// reference renames apart on every scan and mints other names
+    /// (Example 4.1: `Z_3` where the engine mints `Z_1`); the bindings
+    /// agree only up to those names and are not compared.
     #[test]
     fn fire_order_matches_reference() {
         let cases = [
@@ -775,9 +769,7 @@ mod tests {
             let (a, b) = run_both(q, sigma, &ChaseConfig::default());
             let (a, b) = (a.unwrap(), b.unwrap());
             assert_eq!(a.steps, b.steps, "step counts diverged on {q}");
-            let seq_a: Vec<usize> = a.trace.iter().map(|t| t.dep_index).collect();
-            let seq_b: Vec<usize> = b.trace.iter().map(|t| t.dep_index).collect();
-            assert_eq!(seq_a, seq_b, "dependency firing order diverged on {q}");
+            assert_eq!(step_seq(&a), step_seq(&b), "dependency firing order diverged on {q}");
             assert!(are_isomorphic(&a.query, &b.query), "{} vs {}", a.query, b.query);
         }
     }
@@ -891,9 +883,11 @@ mod tests {
             run_both_opts("q4(X) :- p(X,Y)", sigma, &ChaseConfig::default(), &opts);
         let (armed, reference) = (armed.unwrap(), reference.unwrap());
         assert_eq!(armed.steps, reference.steps);
-        let a: Vec<usize> = armed.trace.iter().map(|t| t.dep_index).collect();
-        let b: Vec<usize> = reference.trace.iter().map(|t| t.dep_index).collect();
-        assert_eq!(a, b, "an armed probe changed the firing order");
+        assert_eq!(
+            step_seq(&armed),
+            step_seq(&reference),
+            "an armed probe changed the firing order"
+        );
         assert_eq!(probe.steps(), armed.steps as u64);
         // Every dependency is scanned at least once before the worklist
         // drains.

@@ -36,7 +36,9 @@
 //! dedup policy, an [`Admission`] mode and [`EngineOpts`] (delta-*seeded*
 //! premise search for budget-exhaustion asymptotics, a run guard, a step
 //! probe). [`set_chase()`], [`sound_chase_prepared_opts`] and
-//! [`key_based_chase`] are thin wrappers over it. The original
+//! [`key_based_chase`] are thin wrappers over it. Every chase records a
+//! [`ChaseTrace`]: typed step records (dependency index, body size, the
+//! fired binding's terms) rendered to text only on demand. The original
 //! naive restart-scan driver survives as [`mod@reference`] — the
 //! differential-testing oracle (`tests/tests/engine_differential.rs`)
 //! that pins the engine to the paper's step semantics, with the
@@ -61,6 +63,7 @@ pub mod set_chase;
 pub mod sound;
 pub mod step;
 pub mod test_query;
+pub mod trace;
 
 pub use assignment_fixing::{is_assignment_fixing, is_assignment_fixing_wrt_query};
 pub use engine::{chase_indexed, Admission, EngineOpts};
@@ -74,3 +77,4 @@ pub use max_subset::{max_bag_set_sigma_subset, max_bag_sigma_subset};
 pub use reference::{chase_with_policy_reference, set_chase_reference};
 pub use set_chase::{set_chase, Chased};
 pub use sound::{sound_chase, sound_chase_prepared, sound_chase_prepared_opts, SoundChased};
+pub use trace::{ChaseTrace, StepAction, TraceEntry};

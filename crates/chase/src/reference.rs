@@ -12,11 +12,12 @@
 //! value is being obviously correct and independently derived.
 
 use crate::error::{ChaseConfig, ChaseError};
-use crate::set_chase::{Chased, TraceEntry};
+use crate::set_chase::Chased;
 use crate::step::{
     applicable_tgd_homs, apply_egd_step, apply_tgd_step, rename_dep_apart, DedupPolicy, EgdOutcome,
 };
-use eqsql_cq::{CqQuery, Subst, VarSupply};
+use crate::trace::{binding_vars, ChaseTrace};
+use eqsql_cq::{CqQuery, Subst, Term, VarSupply};
 use eqsql_deps::{Dependency, DependencySet};
 use std::collections::HashSet;
 
@@ -48,7 +49,7 @@ pub fn chase_with_policy_reference(
     }
     let mut steps = 0usize;
     let mut renaming = Subst::new();
-    let mut trace: Vec<TraceEntry> = Vec::new();
+    let mut trace = ChaseTrace::new();
 
     'outer: loop {
         if steps >= config.max_steps {
@@ -64,24 +65,14 @@ pub fn chase_with_policy_reference(
                 Dependency::Egd(e) => match apply_egd_step(&cur, e) {
                     EgdOutcome::NotApplicable => {}
                     EgdOutcome::Failed => {
-                        trace.push(TraceEntry {
-                            dep_index: i,
-                            dep: dep.to_string(),
-                            action: "equated distinct constants: chase failed".into(),
-                            body_size: cur.body.len(),
-                        });
+                        trace.push_failed(i, cur.body.len());
                         return Ok(Chased { query: cur, failed: true, steps, renaming, trace });
                     }
                     EgdOutcome::Applied { query, from, to } => {
                         renaming.rewrite(from, to);
                         cur = dedup.apply(&query);
                         steps += 1;
-                        trace.push(TraceEntry {
-                            dep_index: i,
-                            dep: dep.to_string(),
-                            action: format!("egd: {from} := {to}"),
-                            body_size: cur.body.len(),
-                        });
+                        trace.push_egd(i, cur.body.len(), from, to);
                         continue 'outer;
                     }
                 },
@@ -90,18 +81,14 @@ pub fn chase_with_policy_reference(
                         if !admit(t, &cur, &h) {
                             continue;
                         }
-                        let (next, added) = apply_tgd_step(&cur, t, &h, &mut supply);
+                        let (next, step) = apply_tgd_step(&cur, t, &h, &mut supply);
                         cur = dedup.apply(&next);
                         steps += 1;
-                        trace.push(TraceEntry {
-                            dep_index: i,
-                            dep: dep.to_string(),
-                            action: format!(
-                                "tgd: added {}",
-                                added.iter().map(|a| a.to_string()).collect::<Vec<_>>().join(" ∧ ")
-                            ),
-                            body_size: cur.body.len(),
-                        });
+                        trace.push_tgd(
+                            i,
+                            cur.body.len(),
+                            binding_vars(t).into_iter().map(|v| step.apply_term(&Term::Var(v))),
+                        );
                         continue 'outer;
                     }
                 }

@@ -16,32 +16,9 @@
 use crate::engine::{chase_indexed, Admission, EngineOpts};
 use crate::error::{ChaseConfig, ChaseError};
 use crate::step::DedupPolicy;
+use crate::trace::ChaseTrace;
 use eqsql_cq::{CqQuery, Subst};
 use eqsql_deps::DependencySet;
-use std::fmt;
-
-/// One recorded chase step, for tracing/debugging.
-#[derive(Clone, Debug)]
-pub struct TraceEntry {
-    /// Index of the dependency in Σ (in iteration order).
-    pub dep_index: usize,
-    /// Rendering of the dependency applied.
-    pub dep: String,
-    /// What the step did.
-    pub action: String,
-    /// Body size after the step.
-    pub body_size: usize,
-}
-
-impl fmt::Display for TraceEntry {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "[σ{}] {} — {} (body now {})",
-            self.dep_index, self.dep, self.action, self.body_size
-        )
-    }
-}
 
 /// The outcome of a terminating chase.
 #[derive(Clone, Debug)]
@@ -57,8 +34,10 @@ pub struct Chased {
     /// image in the terminal query. Needed by the assignment-fixing test
     /// (see `crate::assignment_fixing`).
     pub renaming: Subst,
-    /// The step trace.
-    pub trace: Vec<TraceEntry>,
+    /// The step trace: one typed record per step, plus a trailing
+    /// failure record when `failed`. Render it with
+    /// [`ChaseTrace::render`] against the Σ the chase ran on.
+    pub trace: ChaseTrace,
 }
 
 /// Runs the chase of `q` with Σ under set semantics, deduplicating the body
@@ -74,6 +53,7 @@ pub fn set_chase(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::StepAction;
     use eqsql_cq::{are_isomorphic, parse_query, Term};
     use eqsql_deps::{parse_dependencies, satisfaction::query_satisfies_all};
 
@@ -157,6 +137,9 @@ mod tests {
         let sigma = parse_dependencies("s(X,Y) & s(X,Z) -> Y = Z.").unwrap();
         let r = set_chase(&q, &sigma, &cfg()).unwrap();
         assert!(r.failed);
+        // The trace ends with the failure record, which is not a step.
+        assert_eq!(r.trace.len(), r.steps + 1);
+        assert_eq!(r.trace.entries().last().map(|e| e.action), Some(StepAction::Failed));
     }
 
     #[test]
@@ -193,7 +176,10 @@ mod tests {
         let sigma = parse_dependencies("a(X) -> b(X).").unwrap();
         let r = set_chase(&q, &sigma, &cfg()).unwrap();
         assert_eq!(r.trace.len(), 1);
-        assert!(r.trace[0].action.contains("added"));
+        let step = &r.trace.entries()[0];
+        assert!(matches!(step.action, StepAction::Tgd { .. }), "got {step:?}");
+        // The binding is the premise's X; b(X) mints no existential.
+        assert_eq!(r.trace.binding(step), [Term::var("X")]);
     }
 
     #[test]

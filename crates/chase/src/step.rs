@@ -11,7 +11,7 @@
 //!   failure).
 
 use eqsql_cq::matcher::reference;
-use eqsql_cq::{Atom, CqQuery, Predicate, Subst, Term, Var, VarSupply};
+use eqsql_cq::{CqQuery, Predicate, Subst, Term, Var, VarSupply};
 use eqsql_deps::{Dependency, Egd, Tgd};
 use std::collections::HashSet;
 
@@ -127,21 +127,22 @@ pub fn applicable_tgd_homs(q: &CqQuery, tgd: &Tgd) -> Vec<Subst> {
 }
 
 /// Applies a tgd chase step with homomorphism `h` (which must come from
-/// [`applicable_tgd_homs`]). Returns the new query and the atoms added.
+/// [`applicable_tgd_homs`]). Returns the new query and the step's
+/// assignment: `h` extended by the fresh existentials (its image of the
+/// conclusion is the atoms added).
 pub fn apply_tgd_step(
     q: &CqQuery,
     tgd: &Tgd,
     h: &Subst,
     supply: &mut VarSupply,
-) -> (CqQuery, Vec<Atom>) {
+) -> (CqQuery, Subst) {
     let mut s = h.clone();
     for z in tgd.existential_vars() {
         s.set(z, Term::Var(supply.fresh(z.name())));
     }
-    let added = s.apply_atoms(&tgd.rhs);
     let mut out = q.clone();
-    out.body.extend(added.iter().cloned());
-    (out, added)
+    out.body.extend(s.apply_atoms(&tgd.rhs));
+    (out, s)
 }
 
 /// Outcome of attempting an egd step.
@@ -244,10 +245,10 @@ mod tests {
         let t = tgd("p(A,B) -> t(A,B,W)");
         let mut supply = VarSupply::avoiding([&q]);
         let homs = applicable_tgd_homs(&q, &t);
-        let (q2, added) = apply_tgd_step(&q, &t, &homs[0], &mut supply);
+        let (q2, step) = apply_tgd_step(&q, &t, &homs[0], &mut supply);
         assert_eq!(q2.body.len(), 2);
-        assert_eq!(added.len(), 1);
-        let w = added[0].args[2].as_var().unwrap();
+        assert_eq!(step.apply_atoms(&t.rhs), q2.body[1..]);
+        let w = step.apply_term(&Term::var("W")).as_var().unwrap();
         assert_ne!(w, Var::new("W")); // fresh, not the tgd's own name
         assert_ne!(w, Var::new("Y"));
     }
@@ -259,10 +260,11 @@ mod tests {
         let mut supply = VarSupply::avoiding([&q]);
         let homs = applicable_tgd_homs(&q, &t);
         assert_eq!(homs.len(), 2);
-        let (q2, a1) = apply_tgd_step(&q, &t, &homs[0], &mut supply);
-        let (q3, a2) = apply_tgd_step(&q2, &t, &homs[1], &mut supply);
+        let (q2, s1) = apply_tgd_step(&q, &t, &homs[0], &mut supply);
+        let (q3, s2) = apply_tgd_step(&q2, &t, &homs[1], &mut supply);
         assert_eq!(q3.body.len(), 4);
-        assert_ne!(a1[0].args[1], a2[0].args[1]);
+        let z = Term::var("Z");
+        assert_ne!(s1.apply_term(&z), s2.apply_term(&z));
     }
 
     #[test]

@@ -47,7 +47,9 @@ pub mod persist;
 
 use crate::canon::{cache_key, query_fingerprint, ChaseContext};
 use eqsql_chase::set_chase::Chased;
-use eqsql_chase::{sound_chase_prepared_opts, ChaseConfig, ChaseError, EngineOpts, SoundChased};
+use eqsql_chase::{
+    sound_chase_prepared_opts, ChaseConfig, ChaseError, ChaseTrace, EngineOpts, SoundChased,
+};
 use eqsql_core::SoundChaser;
 use eqsql_cq::{find_isomorphism, CqQuery, Subst, Term, Var, VarSupply};
 use eqsql_deps::{regularize_set, DependencySet};
@@ -88,10 +90,9 @@ const SIGMA_MEMO_CAP: usize = 256;
 
 /// A stored terminal chase result, expressed over the representative
 /// query's variables. The per-step trace is deliberately *not* stored:
-/// it is pure diagnostics (never an input to a decision), it would pin
-/// O(steps) heap strings per resident entry, and a replayed trace would
-/// carry the representative's variable names anyway — replayed results
-/// report an empty trace instead.
+/// it is pure diagnostics (never an input to a decision), and its records
+/// name the representative's variables, not the probe's — replayed
+/// results report an empty [`ChaseTrace`] instead.
 #[derive(Clone, Debug)]
 pub(crate) struct StoredChase {
     pub(crate) query: CqQuery,
@@ -388,7 +389,7 @@ impl ChaseCache {
                 renaming,
                 // Not stored (see StoredChase): replayed results carry an
                 // empty trace.
-                trace: Vec::new(),
+                trace: ChaseTrace::new(),
             },
         }
     }

@@ -126,8 +126,8 @@ fn explore(
         println!("\n=== sound chase under {sem}-semantics ===");
         match sound_chase(sem, q, sigma, &schema, &config) {
             Ok(r) => {
-                for entry in &r.chased.trace {
-                    println!("  {entry}");
+                for line in r.chased.trace.render(&r.sigma_regularized) {
+                    println!("  {line}");
                 }
                 if r.failed {
                     println!("  CHASE FAILED: query unsatisfiable under Σ");

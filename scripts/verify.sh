@@ -30,6 +30,13 @@ cargo bench --no-run -q
 echo "== examples + experiments binaries compile"
 cargo build -q -p eqsql-examples -p eqsql-bench -p eqsql-net --bins
 
+echo "== chase_explorer smoke (the built-in tour against its committed output)"
+# Traces are typed records rendered on demand; the tour prints every step
+# of Example 4.1's set, bag-set and bag chases, so a rendering change shows
+# up here as a diff.
+diff <(cargo run -q -p eqsql-examples --bin chase_explorer) tests/fixtures/chase_explorer_tour.txt \
+    || { echo "chase_explorer smoke: the built-in tour changed" >&2; exit 1; }
+
 echo "== benchmark harness compiles (its own package; imports library internals)"
 cargo check --offline -q --manifest-path e2e_bench/Cargo.toml
 

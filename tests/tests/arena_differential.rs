@@ -7,8 +7,9 @@
 //!
 //! * error variants (budget exhaustion / size blowup must agree),
 //! * the `failed` flag and the step count,
-//! * the full step trace (dependency index, action string, body size
-//!   after each step),
+//! * the full typed step trace (dependency index, body size after each
+//!   step, and what the step did: a tgd's binding and minted
+//!   existentials, an egd's replacement, a failure), compared with `==`,
 //! * the terminal query rendering, and
 //! * the renaming-invariant [`query_fingerprint`] of the terminal — the
 //!   value the service layer caches under, so cache attribution stays
@@ -54,14 +55,7 @@ fn arena_engine_matches_boxed_reference_on_150_draws() {
                     terminated += 1;
                     assert_eq!(a.failed, b.failed, "failed flag diverged\n{ctx}");
                     assert_eq!(a.steps, b.steps, "step count diverged\n{ctx}");
-                    assert_eq!(a.trace.len(), b.trace.len(), "trace length diverged\n{ctx}");
-                    for (i, (ta, tb)) in a.trace.iter().zip(b.trace.iter()).enumerate() {
-                        assert_eq!(
-                            (ta.dep_index, &ta.action, ta.body_size),
-                            (tb.dep_index, &tb.action, tb.body_size),
-                            "trace step {i} diverged\n{ctx}"
-                        );
-                    }
+                    assert_eq!(a.trace, b.trace, "trace diverged\n{ctx}");
                     if !a.failed {
                         assert_eq!(
                             a.query.to_string(),

@@ -5,8 +5,10 @@
 //! exactly: isomorphic terminal queries (the sound-chase uniqueness
 //! theorems 5.1/G.1 make isomorphism the right equivalence; for raw set
 //! chase the two drivers fire identical step sequences, so isomorphism
-//! holds there too), identical step counts, identical `failed` flags, and
-//! identical `ChaseError` variants on budget exhaustion. Families covered:
+//! holds there too), identical step counts, identical firing orders (per
+//! step: dependency index, body size and action kind — under the sound
+//! chases too), identical `failed` flags, and identical `ChaseError`
+//! variants on budget exhaustion. Families covered:
 //! the Appendix H exponential lower-bound instances, chain queries,
 //! egd-failure inputs, budget-exhaustion inputs, and randomized weakly
 //! acyclic Σ / random queries from `eqsql_gen`.
@@ -15,7 +17,7 @@ use eqsql_chase::reference::{chase_with_policy_reference, set_chase_reference};
 use eqsql_chase::step::DedupPolicy;
 use eqsql_chase::{
     chase_indexed, is_assignment_fixing, set_chase, sound_chase, Admission, ChaseConfig,
-    ChaseError, Chased, EngineOpts, RunGuard,
+    ChaseError, Chased, EngineOpts, RunGuard, StepAction,
 };
 use eqsql_cq::{are_isomorphic, parse_query, Atom, CqQuery, Predicate, Term};
 use eqsql_deps::regularize::regularize_set;
@@ -27,6 +29,24 @@ use eqsql_relalg::{Schema, Semantics};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+/// A trace's per-step `(dep_index, body_size, action kind)` sequence:
+/// the firing order, without the minted names the two drivers may choose
+/// differently when the query's variables collide with Σ's.
+fn step_kinds(c: &Chased) -> Vec<(usize, usize, &'static str)> {
+    c.trace
+        .entries()
+        .iter()
+        .map(|e| {
+            let kind = match e.action {
+                StepAction::Tgd { .. } => "tgd",
+                StepAction::Egd { .. } => "egd",
+                StepAction::Failed => "failed",
+            };
+            (e.dep_index, e.body_size, kind)
+        })
+        .collect()
+}
+
 /// Asserts that two chase outcomes agree observably.
 fn assert_agree(
     label: &str,
@@ -37,6 +57,7 @@ fn assert_agree(
         (Ok(a), Ok(b)) => {
             assert_eq!(a.failed, b.failed, "{label}: failed flags diverge");
             assert_eq!(a.steps, b.steps, "{label}: step counts diverge");
+            assert_eq!(step_kinds(a), step_kinds(b), "{label}: firing orders diverge");
             assert_eq!(
                 a.query.body.len(),
                 b.query.body.len(),
