@@ -1,4 +1,4 @@
-//! Ablations called out in DESIGN.md §6:
+//! Ablations of two design choices:
 //!
 //! * **regularization**: chasing with the regularized Σ vs the raw Σ — the
 //!   sound bag chase finds strictly more sound steps when Σ is

@@ -1,5 +1,8 @@
-//! Regenerates every quantitative/behavioural claim recorded in
-//! `EXPERIMENTS.md` and prints paper-expected vs measured tables.
+//! Regenerates the paper's quantitative and behavioural claims as tables
+//! T1–T8 (Example 4.1's equivalence matrix, Appendix H's chase sizes, the
+//! Max-Σ-Subset chain, the C&B family, counterexample construction,
+//! aggregate equivalence, Lemma D.1's amplification and an evaluation
+//! sanity check) and prints paper-expected vs measured values.
 //!
 //! ```sh
 //! cargo run -p eqsql-bench --bin experiments --release

@@ -17,8 +17,9 @@
 //! tie-breaking; we instead track the accumulated renaming through the
 //! chase and require the **final images** of `Z_i` and `θ(Z_i)` to be
 //! equal. This is invariant under egd direction choices and agrees with
-//! the paper on its examples (4.2 positive, 5.1 positive; see
-//! `EXPERIMENTS.md` for the Example 4.3 erratum discussion).
+//! the paper on its examples (4.2 positive, 5.1 positive; for Example 4.3
+//! see the erratum note on `example_4_2_and_4_3` in
+//! `tests/tests/paper_examples.rs`).
 //!
 //! Full tgds are assignment-fixing w.r.t. every query they apply to
 //! (Proposition 4.3).
@@ -54,7 +55,7 @@ pub fn is_assignment_fixing(
         return Ok(true); // Proposition 4.3
     }
     let tq = associated_test_query(q, tgd, h);
-    let opts = EngineOpts::default().guarded(guard.clone());
+    let opts = EngineOpts { guard: guard.clone(), ..EngineOpts::default() };
     let chased = chase_indexed(&tq.query, sigma, config, &DedupPolicy::All, Admission::All, &opts)?;
     if chased.failed {
         // The double-witness pattern is unsatisfiable under Σ: two distinct
@@ -133,7 +134,8 @@ mod tests {
         //
         // (The paper's Example 4.3 additionally includes egds σ5/σ6; as
         // printed, exhaustive chasing with σ5 merges the copies — see the
-        // erratum note in EXPERIMENTS.md — so we use the reduced Σ that
+        // Example 4.3 erratum note on `example_4_2_and_4_3` in
+        // `tests/tests/paper_examples.rs` — so we use the reduced Σ that
         // exhibits the intended behaviour.)
         let sigma = parse_dependencies(
             "p(X,Y) -> r(X,Z) & s(Z,W) & s(X,T).\n\

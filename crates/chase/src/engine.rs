@@ -46,47 +46,14 @@
 //! size, the fired binding's terms), so committing a step builds no
 //! string; rendering waits for a reader.
 //!
-//! With the default [`EngineOpts`] the engine fires, at every step, the
-//! same dependency the reference driver would (the lowest-indexed
-//! applicable one, with the first admissible homomorphism in the shared
-//! deterministic search order), so the two produce isomorphic terminal
-//! queries, identical step counts, identical failure flags and identical
-//! error variants — which the differential suite in
-//! `tests/tests/engine_differential.rs` checks.
-//!
-//! ## Delta-seeded premise search (`EngineOpts::delta_seeding`)
-//!
-//! Beyond delta *scheduling*, the opt-in delta-seeded mode constrains the
-//! premise *search* itself: each dependency remembers the body generation
-//! `w` of its last exhaustive check, and subsequent searches require at
-//! least one matched atom from the delta (generation ≥ `w`, i.e. added or
-//! rewritten since). Soundness invariant: `w` only advances to `G` when
-//! every homomorphism over pre-`G` atoms is known non-applicable —
-//!
-//! * an exhaustive check that saw no applicable homomorphism covers the
-//!   delta directly and inherits the rest from the previous `w` (tgd
-//!   extensions survive atom additions, and any atom an egd substitution
-//!   rewrites re-enters the delta with a fresh generation);
-//! * a check that finds applicable tgd homomorphisms **batch-fires** every
-//!   one of them (re-validating each extension just before firing, since
-//!   an earlier fire in the batch may have witnessed it) and then advances
-//!   `w` — nothing in the delta is left unexamined;
-//! * an egd fire leaves `w` alone (a substitution can reveal no new
-//!   violations among old atoms, but unexamined delta candidates behind
-//!   the first violation must be revisited), as does any check whose
-//!   applicable homomorphisms were all rejected by a custom admission
-//!   predicate (admission is a whole-query property; such dependencies
-//!   are re-armed with a full search, exactly like the admission-blocked
-//!   re-arm below).
-//!
-//! Batch-firing may deviate from the reference firing order (a lower-
-//! indexed dependency woken mid-batch fires later than the reference
-//! would schedule it), which is why the delta-seeded differential suite
-//! asserts isomorphic/equivalent terminals rather than identical step
-//! sequences. On budget-exhaustion shapes like the non-weakly-acyclic
-//! `e(X,Y) -> e(Y,Z)` chain, the applicable homomorphism always lives at
-//! the *newest* atom; the delta search finds it without rescanning the
-//! old ones, turning the O(n³) total premise-scan work into O(n²).
+//! Each step pops the lowest queued dependency, searches its premise over
+//! the whole body up to the first admissible homomorphism, and fires at
+//! most that one. So the engine fires, at every step, the same dependency
+//! the reference driver would (the lowest-indexed applicable one, with the
+//! first admissible homomorphism in the shared deterministic search
+//! order), and the two produce isomorphic terminal queries, identical step
+//! counts, identical failure flags and identical error variants — which
+//! the differential suite in `tests/tests/engine_differential.rs` checks.
 //!
 //! One deliberate divergence from semi-naive purity: a *custom* admission
 //! predicate (the sound chase's assignment-fixing test) depends on the
@@ -103,8 +70,8 @@ use crate::set_chase::Chased;
 use crate::step::{classify_egd_images, rename_dep_apart_mapped, DedupPolicy};
 use crate::trace::ChaseTrace;
 use eqsql_cq::{
-    ArenaDelta, ArenaFrame, ArenaPlan, CqQuery, EqOp, Predicate, SeedMap, Subst, Term, TermArena,
-    TermId, Var, VarSupply,
+    ArenaFrame, ArenaPlan, CqQuery, EqOp, Predicate, SeedMap, Subst, Term, TermArena, TermId, Var,
+    VarSupply,
 };
 use eqsql_deps::{Dependency, DependencySet, Tgd};
 use eqsql_obs::StepProbe;
@@ -126,21 +93,14 @@ pub enum Admission<'a> {
     QueryIndependent(&'a mut dyn FnMut(&Tgd) -> bool),
 }
 
-/// Tuning knobs for [`chase_indexed`]. The default is the
-/// reference-identical configuration ([`EngineOpts::default`]).
+/// Per-run hooks for [`chase_indexed`]: a run guard and a step probe.
+/// Neither changes a result, so neither is part of any cache key.
 #[derive(Clone, Debug, Default)]
 pub struct EngineOpts {
-    /// Constrain each dependency's premise search to homomorphisms
-    /// touching the atoms added/rewritten since its last exhaustive check
-    /// (see the module docs). Changes the firing *order* (terminals stay
-    /// equivalent); off by default.
-    pub delta_seeding: bool,
     /// Cooperative deadline/cancellation guard, polled once per engine
     /// step alongside the budget checks. The default (unguarded) guard
-    /// costs one `Option` test per step and never aborts, so the step
-    /// sequence is identical to the pre-guard engine. Unlike
-    /// `delta_seeding`, the guard never changes firing order or results,
-    /// only whether the run finishes, so it is not part of any cache key.
+    /// costs one `Option` test per step and never aborts. The guard never
+    /// changes firing order or results, only whether the run finishes.
     pub guard: RunGuard,
     /// Work-attribution probe ([`eqsql_obs::StepProbe`]): counts committed
     /// steps and dependency scans. Pure accounting — the default disarmed
@@ -148,19 +108,6 @@ pub struct EngineOpts {
     /// never changes firing order or results, so like `guard` it is not
     /// part of any cache key.
     pub probe: StepProbe,
-}
-
-impl EngineOpts {
-    /// Delta-seeded premise search.
-    pub fn delta_seeded() -> EngineOpts {
-        EngineOpts { delta_seeding: true, ..EngineOpts::default() }
-    }
-
-    /// This configuration with the given [`RunGuard`].
-    pub fn guarded(mut self, guard: RunGuard) -> EngineOpts {
-        self.guard = guard;
-        self
-    }
 }
 
 /// The per-run scheduler state: which dependencies might act.
@@ -214,19 +161,15 @@ impl Worklist {
     }
 
     /// Re-arms dependencies whose only obstacle was the admission
-    /// predicate; called after every step when admission is custom.
-    /// Returns the re-armed indices so delta watermarks can be reset
+    /// predicate; called after every step when admission is custom
     /// (admission verdicts do not persist across steps).
-    fn wake_admission_blocked(&mut self) -> Vec<usize> {
-        let mut woken = Vec::new();
+    fn wake_admission_blocked(&mut self) {
         for i in 0..self.queued.len() {
             if self.blocked_on_admit[i] {
                 self.queued[i] = true;
                 self.blocked_on_admit[i] = false;
-                woken.push(i);
             }
         }
-        woken
     }
 }
 
@@ -345,31 +288,21 @@ enum Scan {
     EgdFailed,
     /// First violating egd homomorphism: replace `from` by `to`.
     EgdFire(Var, Term),
-    /// Admitted applicable tgd homomorphisms to fire, in search order
-    /// (singleton unless batch-firing under delta seeding), as premise
-    /// slot arrays.
-    TgdFire(Vec<Box<[TermId]>>),
+    /// The first admitted applicable tgd homomorphism, as a premise slot
+    /// array.
+    TgdFire(Box<[TermId]>),
 }
 
 /// Searches the egd premise for the first violating homomorphism.
 /// Allocation-free on the no-violation path once `frame` is warm.
-fn scan_egd(
-    plans: &DepPlans,
-    arena: &TermArena,
-    frame: &mut ArenaFrame,
-    delta: Option<&ArenaDelta>,
-) -> Scan {
+fn scan_egd(plans: &DepPlans, arena: &TermArena, frame: &mut ArenaFrame) -> Scan {
     let (lhs, rhs) = plans.egd_eq.expect("egd has compiled equality sides");
     frame.reset(plans.premise.slot_count());
     let mut verdict: Option<Result<(Var, Term), ()>> = None;
-    let emit = &mut |slots: &[TermId]| {
+    plans.premise.search(arena, frame, &mut |slots| {
         verdict = classify_egd_images(lhs.resolve(arena, slots), rhs.resolve(arena, slots));
         verdict.is_none() // keep searching until a violation
-    };
-    match delta {
-        None => plans.premise.search(arena, frame, emit),
-        Some(d) => plans.premise.search_delta(arena, d, frame, emit),
-    };
+    });
     match verdict {
         None => Scan::Idle { saw_applicable: false },
         Some(Err(())) => Scan::EgdFailed,
@@ -377,35 +310,28 @@ fn scan_egd(
     }
 }
 
-/// Searches the tgd premise for admissible applicable homomorphisms: the
-/// conclusion-extension check and the admission predicate prune the
-/// search in flight. `collect_all` (delta batch-firing) gathers every
-/// applicable homomorphism instead of stopping at the first admitted one;
-/// it is only used with admission predicates that admit everything.
-/// Allocation-free on the all-satisfied path once the frames are warm.
-#[allow(clippy::too_many_arguments)]
+/// Searches the tgd premise for the first admissible applicable
+/// homomorphism: the conclusion-extension check and the admission
+/// predicate prune the search in flight. Allocation-free on the
+/// all-satisfied path once the frames are warm.
 fn scan_tgd(
     plans: &DepPlans,
     arena: &TermArena,
     pf: &mut ArenaFrame,
     ef: &mut ArenaFrame,
-    delta: Option<&ArenaDelta>,
     dedup_hom_bindings: bool,
-    collect_all: bool,
     admit: &mut dyn FnMut(&[TermId]) -> bool,
 ) -> Scan {
     let extension = plans.extension.as_ref().expect("tgd has an extension plan");
-    let mut fires: Vec<Box<[TermId]>> = Vec::new();
+    let mut fire: Option<Box<[TermId]>> = None;
     let mut saw_applicable = false;
-    // Distinct target choices can yield the same premise bindings (always
-    // possible across delta-pinned passes, and under lenient dedup
-    // policies even within one pass); dedup by the dense slot values so
-    // the extension/admission work per binding runs once.
-    let dedup = dedup_hom_bindings || delta.is_some();
+    // Under lenient dedup policies distinct target choices can yield the
+    // same premise bindings; dedup by the dense slot values so the
+    // extension/admission work per binding runs once.
     let mut seen: std::collections::HashSet<Box<[TermId]>> = std::collections::HashSet::new();
     pf.reset(plans.premise.slot_count());
-    let emit = &mut |slots: &[TermId]| {
-        if dedup {
+    plans.premise.search(arena, pf, &mut |slots| {
+        if dedup_hom_bindings {
             if seen.contains(slots) {
                 return true; // same bindings already examined
             }
@@ -418,29 +344,24 @@ fn scan_tgd(
         }
         saw_applicable = true;
         if admit(slots) {
-            fires.push(slots.into());
-            collect_all // stop at the first admitted match unless batching
+            fire = Some(slots.into());
+            false // stop at the first admitted match
         } else {
             true
         }
-    };
-    match delta {
-        None => plans.premise.search(arena, pf, emit),
-        Some(d) => plans.premise.search_delta(arena, d, pf, emit),
-    };
-    if fires.is_empty() {
-        Scan::Idle { saw_applicable }
-    } else {
-        Scan::TgdFire(fires)
+    });
+    match fire {
+        Some(slots) => Scan::TgdFire(slots),
+        None => Scan::Idle { saw_applicable },
     }
 }
 
-/// Runs the chase with the incremental indexed engine. Under the default
-/// [`EngineOpts`] its semantics (firing order, budgets, trace, renaming
-/// bookkeeping) match [`crate::reference::chase_with_policy_reference`]
-/// exactly, up to the names of chase-minted variables when the query's
-/// variables collide with Σ's; see the module docs for why. `opts` adds
-/// delta-seeded premise search, a run guard and a step probe.
+/// Runs the chase with the incremental indexed engine. Its semantics
+/// (firing order, budgets, trace, renaming bookkeeping) match
+/// [`crate::reference::chase_with_policy_reference`] exactly, up to the
+/// names of chase-minted variables when the query's variables collide
+/// with Σ's; see the module docs for why. `opts` carries a run guard and
+/// a step probe.
 pub fn chase_indexed(
     q: &CqQuery,
     sigma: &DependencySet,
@@ -475,9 +396,6 @@ pub fn chase_indexed(
     // Per-dependency cache for query-independent admission verdicts
     // (renaming-invariant, so one evaluation per dependency suffices).
     let mut dep_admitted: Vec<Option<bool>> = vec![None; deps.len()];
-    // Delta-seeded mode: generation below which dependency i's premise
-    // search is known exhausted (0 = never checked → full search).
-    let mut watermark: Vec<u64> = vec![0; deps.len()];
     // With a policy that never drops some duplicate atoms, distinct target
     // choices can yield the same premise bindings; see `scan_tgd`.
     let dedup_hom_bindings = !matches!(dedup, DedupPolicy::All);
@@ -524,17 +442,9 @@ pub fn chase_indexed(
         }
 
         opts.probe.on_scan();
-        // The generation this scan runs against; delta-mode watermarks
-        // advance to it on an exhaustive no-find.
-        let scan_gen = index.current_gen();
-        let delta = (opts.delta_seeding && watermark[i] != 0).then(|| {
-            let mut d = ArenaDelta::new();
-            index.delta_since(watermark[i], &mut d);
-            d
-        });
         let DepFrames { premise: pf, ext: ef } = &mut frames[i];
         let scan = match (deps[i], &mut admission) {
-            (Dependency::Egd(_), _) => scan_egd(&plans[i], index.arena(), pf, delta.as_ref()),
+            (Dependency::Egd(_), _) => scan_egd(&plans[i], index.arena(), pf),
             // Custom admission: rename the dependency apart from the
             // current query lazily (only this mode needs the renamed
             // namespace) and consult the predicate with the homomorphism
@@ -550,51 +460,30 @@ pub fn chase_indexed(
                 let mut cur_cache: Option<CqQuery> = None;
                 let premise_plan = &plans[i].premise;
                 let index_ref = &index;
-                scan_tgd(
-                    &plans[i],
-                    index.arena(),
-                    pf,
-                    ef,
-                    delta.as_ref(),
-                    dedup_hom_bindings,
-                    false,
-                    &mut |slots| {
-                        // Boundary conversion: materialize the match as a
-                        // Subst in the renamed namespace for the predicate.
-                        let mut h = Subst::new();
-                        premise_plan.bind_subst(index_ref.arena(), slots, &mut h);
-                        let h_r = Subst::from_pairs(h.iter().map(|(v, t)| {
-                            match map.apply_term(&Term::Var(v)) {
-                                Term::Var(v_r) => (v_r, *t),
-                                Term::Const(_) => unreachable!("vars rename to vars"),
-                            }
-                        }));
-                        let cur = cur_cache
-                            .get_or_insert_with(|| index_ref.to_query(name, head_ref.clone()));
-                        admit(tgd_r, cur, &h_r)
-                    },
-                )
+                scan_tgd(&plans[i], index.arena(), pf, ef, dedup_hom_bindings, &mut |slots| {
+                    // Boundary conversion: materialize the match as a
+                    // Subst in the renamed namespace for the predicate.
+                    let mut h = Subst::new();
+                    premise_plan.bind_subst(index_ref.arena(), slots, &mut h);
+                    let h_r = Subst::from_pairs(h.iter().map(|(v, t)| {
+                        let Term::Var(v_r) = map.apply_term(&Term::Var(v)) else {
+                            unreachable!("vars rename to vars")
+                        };
+                        (v_r, *t)
+                    }));
+                    let cur =
+                        cur_cache.get_or_insert_with(|| index_ref.to_query(name, head_ref.clone()));
+                    admit(tgd_r, cur, &h_r)
+                })
             }
-            (Dependency::Tgd(_), Admission::All | Admission::QueryIndependent(_)) => scan_tgd(
-                &plans[i],
-                index.arena(),
-                pf,
-                ef,
-                delta.as_ref(),
-                dedup_hom_bindings,
-                opts.delta_seeding,
-                &mut |_| true,
-            ),
+            (Dependency::Tgd(_), Admission::All | Admission::QueryIndependent(_)) => {
+                scan_tgd(&plans[i], index.arena(), pf, ef, dedup_hom_bindings, &mut |_| true)
+            }
         };
 
         match scan {
             Scan::Idle { saw_applicable } => {
                 worklist.retire(i, saw_applicable);
-                if opts.delta_seeding && !saw_applicable {
-                    // Exhausted over everything below scan_gen: old
-                    // verdicts carried over, the delta was searched.
-                    watermark[i] = scan_gen;
-                }
                 continue;
             }
             Scan::EgdFailed => {
@@ -610,97 +499,57 @@ pub fn chase_indexed(
                     }
                 }
                 steps += 1;
-                index.advance_gen();
                 opts.probe.on_step();
                 trace.push_egd(i, index.len(), from, to);
                 // The substitution rewrote at least one atom of the egd's
                 // own premise image, so `changed` re-arms it along with
-                // every other listener. The watermark is NOT advanced:
-                // delta candidates behind the first violation are still
-                // unexamined.
+                // every other listener.
                 worklist.wake_subscribers(&changed);
             }
-            Scan::TgdFire(homs) => {
+            Scan::TgdFire(slots) => {
                 let dp = &plans[i];
-                let ext = dp.extension.as_ref().expect("tgd extension plan");
-                for (k, slots) in homs.into_iter().enumerate() {
-                    if k > 0 {
-                        // Loop-head poll covers the first fire; later
-                        // fires in the batch are their own steps.
-                        opts.guard.poll(steps)?;
-                    }
-                    if steps >= config.max_steps {
-                        return Err(ChaseError::BudgetExhausted { steps });
-                    }
-                    if index.len() >= config.max_atoms {
-                        return Err(ChaseError::QueryTooLarge { atoms: index.len() });
-                    }
-                    // Under batch-firing an earlier fire in this very batch
-                    // may have witnessed this homomorphism's conclusion;
-                    // re-validate before firing.
-                    if k > 0 {
-                        let ef = &mut frames[i].ext;
-                        ef.reset(ext.slot_count());
-                        ef.seed_from(&dp.ext_seed, &slots);
-                        if ext.has_match(index.arena(), ef) {
-                            continue;
-                        }
-                    }
-                    // Mint the existentials in declaration order (the
-                    // fresh-name sequence must match the reference).
-                    exist_ids.clear();
-                    for z in &dp.existentials {
-                        let fresh = Term::Var(supply.fresh(z.name()));
-                        exist_ids.push(index.arena_mut().intern(fresh));
-                    }
-                    let mut added_preds: Vec<Predicate> = Vec::new();
-                    for (table, ops) in &dp.conclusion {
-                        arg_ids.clear();
-                        for op in ops {
-                            arg_ids.push(match op {
-                                ConOp::Const(id) => *id,
-                                ConOp::Prem(s) => slots[*s as usize],
-                                ConOp::Exist(e) => exist_ids[*e as usize],
-                            });
-                        }
-                        let pred = index.arena().table(*table).key().0;
-                        if index.insert_ids(*table, &arg_ids, dedup) && !added_preds.contains(&pred)
-                        {
-                            added_preds.push(pred);
-                        }
-                    }
-                    steps += 1;
-                    index.advance_gen();
-                    opts.probe.on_step();
-                    // The binding in premise slot order, then the minted
-                    // existentials: the record layout of `binding_vars`.
-                    let arena = index.arena();
-                    trace.push_tgd(
-                        i,
-                        index.len(),
-                        slots.iter().chain(&exist_ids).map(|&id| arena.term(id)),
-                    );
-                    worklist.wake_subscribers(&added_preds);
+                // Mint the existentials in declaration order (the
+                // fresh-name sequence must match the reference).
+                exist_ids.clear();
+                for z in &dp.existentials {
+                    let fresh = Term::Var(supply.fresh(z.name()));
+                    exist_ids.push(index.arena_mut().intern(fresh));
                 }
+                let mut added_preds: Vec<Predicate> = Vec::new();
+                for (table, ops) in &dp.conclusion {
+                    arg_ids.clear();
+                    for op in ops {
+                        arg_ids.push(match op {
+                            ConOp::Const(id) => *id,
+                            ConOp::Prem(s) => slots[*s as usize],
+                            ConOp::Exist(e) => exist_ids[*e as usize],
+                        });
+                    }
+                    let pred = index.arena().table(*table).key().0;
+                    if index.insert_ids(*table, &arg_ids, dedup) && !added_preds.contains(&pred) {
+                        added_preds.push(pred);
+                    }
+                }
+                steps += 1;
+                opts.probe.on_step();
+                // The binding in premise slot order, then the minted
+                // existentials: the record layout of `binding_vars`.
+                let arena = index.arena();
+                trace.push_tgd(
+                    i,
+                    index.len(),
+                    slots.iter().chain(&exist_ids).map(|&id| arena.term(id)),
+                );
+                worklist.wake_subscribers(&added_preds);
                 // The same tgd may be applicable through another
                 // homomorphism whose premise predicates are not among the
-                // added atoms — stay armed. Under delta seeding the batch
-                // drained every pre-`scan_gen` candidate, so the watermark
-                // advances; future checks only examine the batch's own
-                // additions. (The first collected homomorphism always
-                // fires — it was validated applicable against this very
-                // body — so the batch is never empty.)
+                // added atoms — stay armed.
                 worklist.queued[i] = true;
-                if opts.delta_seeding && !custom_admission {
-                    watermark[i] = scan_gen;
-                }
             }
         }
         // A step committed: admission verdicts do not carry across steps.
         if custom_admission {
-            for j in worklist.wake_admission_blocked() {
-                watermark[j] = 0;
-            }
+            worklist.wake_admission_blocked();
         }
     }
 }
@@ -774,64 +623,6 @@ mod tests {
         }
     }
 
-    /// Delta-seeded search may reorder steps but must land on an
-    /// equivalent, Σ-satisfying terminal with the same failure/budget
-    /// behavior.
-    #[test]
-    fn delta_seeding_reaches_equivalent_terminals() {
-        let cases = [
-            (
-                "q4(X) :- p(X,Y)",
-                "p(X,Y) -> s(X,Z) & t(X,V,W).\n\
-                 p(X,Y) -> t(X,Y,W).\n\
-                 p(X,Y) -> r(X).\n\
-                 p(X,Y) -> u(X,Z) & t(X,Y,W).\n\
-                 s(X,Y) & s(X,Z) -> Y = Z.\n\
-                 t(X,Y,W1) & t(X,Y,W2) -> W1 = W2.",
-            ),
-            ("q(X) :- a(X)", "a(X) -> b(X). b(X) -> c(X,W)."),
-            (
-                "q(X) :- p(X,Y), s(X,Z)",
-                "p(X,Y) -> s(X,Z) & t(Z,Y).\n\
-                 t(X,Y) & t(Z,Y) -> X = Z.",
-            ),
-        ];
-        for (q, sigma) in cases {
-            let (delta, reference) =
-                run_both_opts(q, sigma, &ChaseConfig::default(), &EngineOpts::delta_seeded());
-            let (delta, reference) = (delta.unwrap(), reference.unwrap());
-            assert_eq!(delta.failed, reference.failed);
-            let sigma_parsed = parse_dependencies(sigma).unwrap();
-            assert!(
-                eqsql_deps::satisfaction::query_satisfies_all(&delta.query, &sigma_parsed),
-                "delta terminal violates Σ on {q}: {}",
-                delta.query
-            );
-            let dc = eqsql_cq::canonical_representation(&delta.query);
-            let rc = eqsql_cq::canonical_representation(&reference.query);
-            assert!(
-                eqsql_cq::containment_mapping(&dc, &rc).is_some()
-                    && eqsql_cq::containment_mapping(&rc, &dc).is_some(),
-                "terminals not equivalent on {q}: {} vs {}",
-                delta.query,
-                reference.query
-            );
-        }
-    }
-
-    /// The budget-exhaustion chain: delta seeding must report the same
-    /// error at the same step count as the reference.
-    #[test]
-    fn delta_seeding_budget_exhaustion_matches() {
-        let (a, b) = run_both_opts(
-            "q(X) :- e(X,Y)",
-            "e(X,Y) -> e(Y,Z).",
-            &ChaseConfig::with_max_steps(17),
-            &EngineOpts::delta_seeded(),
-        );
-        assert_eq!(a.unwrap_err(), b.unwrap_err());
-    }
-
     #[test]
     fn failure_and_budget_agree_with_reference() {
         let (a, b) = run_both(
@@ -846,6 +637,59 @@ mod tests {
         let (a, b) =
             run_both("q(X) :- e(X,Y)", "e(X,Y) -> e(Y,Z).", &ChaseConfig::with_max_steps(17));
         assert_eq!(a.unwrap_err(), b.unwrap_err());
+    }
+
+    /// A step fires one homomorphism, the first admissible one in body
+    /// order: a tgd with four unsatisfied premise matches takes four
+    /// steps, each adding one conclusion atom, and one scan per step plus
+    /// the scan that retires it.
+    #[test]
+    fn each_tgd_step_fires_one_homomorphism() {
+        let probe = StepProbe::armed();
+        let opts = EngineOpts { probe: probe.clone(), ..EngineOpts::default() };
+        let (a, b) = run_both_opts(
+            "q(X) :- p(X,Y), p(Y,Z), p(Z,W), p(W,V)",
+            "p(A,B) -> s(B,C).",
+            &ChaseConfig::default(),
+            &opts,
+        );
+        let (a, b) = (a.unwrap(), b.unwrap());
+        assert_eq!(a.steps, 4);
+        assert_eq!((probe.steps(), probe.scans()), (4, 5));
+        assert_eq!(step_seq(&a), vec![(0, 5), (0, 6), (0, 7), (0, 8)]);
+        assert_eq!(step_seq(&a), step_seq(&b));
+        let premises: Vec<Vec<Term>> =
+            a.trace.entries().iter().map(|e| a.trace.binding(e)[..2].to_vec()).collect();
+        let v = |n: &str| Term::var(n);
+        assert_eq!(
+            premises,
+            vec![
+                vec![v("X"), v("Y")],
+                vec![v("Y"), v("Z")],
+                vec![v("Z"), v("W")],
+                vec![v("W"), v("V")]
+            ]
+        );
+    }
+
+    /// A non-terminating Σ exhausts the budget one fire at a time: after
+    /// `n` steps the run stops before its next scan, with the reference's
+    /// error.
+    #[test]
+    fn budget_exhaustion_counts_one_scan_per_step() {
+        for n in [1, 5, 17] {
+            let probe = StepProbe::armed();
+            let opts = EngineOpts { probe: probe.clone(), ..EngineOpts::default() };
+            let (a, b) = run_both_opts(
+                "q(X) :- e(X,Y)",
+                "e(X,Y) -> e(Y,Z).",
+                &ChaseConfig::with_max_steps(n),
+                &opts,
+            );
+            assert_eq!(a.unwrap_err(), ChaseError::BudgetExhausted { steps: n });
+            assert_eq!(b.unwrap_err(), ChaseError::BudgetExhausted { steps: n });
+            assert_eq!((probe.steps(), probe.scans()), (n as u64, n as u64));
+        }
     }
 
     #[test]

@@ -34,12 +34,7 @@
 //! * `var_slots` / `var_count` track, per variable id, the slots whose
 //!   atom mentions it (lazily pruned) and the number of live occurrences
 //!   — an egd substitution touches only the atoms that actually contain
-//!   the replaced variable;
-//! * `slot_gen` / `touch_log` stamp every slot with the **generation**
-//!   (chase step) that last created or rewrote it, in generation order —
-//!   the delta-seeded premise search ([`eqsql_cq::ArenaPlan::search_delta`])
-//!   reads "every atom added or changed since generation g" off the log
-//!   tail in O(log + |delta|).
+//!   the replaced variable.
 //!
 //! Slot order equals first-occurrence order, so materializing the body
 //! ([`BodyIndex::to_body`], a boundary conversion) yields the same atom
@@ -47,7 +42,7 @@
 //! discipline produces.
 
 use crate::step::DedupPolicy;
-use eqsql_cq::{ArenaDelta, Atom, CqQuery, Predicate, Term, TermArena, TermId, Var};
+use eqsql_cq::{Atom, CqQuery, Predicate, Term, TermArena, TermId, Var};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
@@ -119,14 +114,6 @@ pub struct BodyIndex {
     /// Variable id → live occurrence count (argument positions, over live
     /// atoms only). A variable is "current" iff its count is positive.
     var_count: HashMap<TermId, usize>,
-    /// The current generation: 0 while building, advanced by the engine
-    /// after every chase step.
-    gen: u64,
-    /// Slot → generation of its last creation/rewrite.
-    slot_gen: Vec<u64>,
-    /// Touches `(gen, slot)` in non-decreasing generation order (a slot
-    /// reappears when rewritten; dead slots are filtered on read).
-    touch_log: Vec<(u64, usize)>,
 }
 
 impl BodyIndex {
@@ -141,28 +128,24 @@ impl BodyIndex {
             occurrences: HashMap::new(),
             var_slots: HashMap::new(),
             var_count: HashMap::new(),
-            gen: 0,
-            slot_gen: Vec::with_capacity(body.len() * 2),
-            touch_log: Vec::new(),
         };
         let mut scratch: Vec<TermId> = Vec::new();
         for atom in body {
-            let (table, _) = ix.intern_atom(atom, &mut scratch);
+            let table = ix.intern_atom(atom, &mut scratch);
             ix.push_slot_ids(table, &scratch);
         }
-        ix.advance_gen();
         ix
     }
 
     /// Interns an atom's table and arguments into `scratch` (boundary
     /// conversion), returning the table id.
-    fn intern_atom(&mut self, atom: &Atom, scratch: &mut Vec<TermId>) -> (u32, ()) {
+    fn intern_atom(&mut self, atom: &Atom, scratch: &mut Vec<TermId>) -> u32 {
         let table = self.arena.table_id(atom.key());
         scratch.clear();
         for t in &atom.args {
             scratch.push(self.arena.intern(*t));
         }
-        (table, ())
+        table
     }
 
     /// Number of live atoms.
@@ -225,34 +208,8 @@ impl BodyIndex {
         self.occurrences.get(&AtomFp::new(table, &args)).is_some_and(|slots| !slots.is_empty())
     }
 
-    /// The current generation. Every live slot has stamp `< gen` once the
-    /// engine has advanced past the step that touched it.
-    pub fn current_gen(&self) -> u64 {
-        self.gen
-    }
-
-    /// Closes the current generation (called by the engine after every
-    /// fired chase step; the constructor closes generation 0).
-    pub fn advance_gen(&mut self) {
-        self.gen += 1;
-    }
-
-    /// Collects the live rows created or rewritten at generation ≥
-    /// `since` into `delta`, one entry per touch (a slot rewritten twice
-    /// appears twice; the delta-pinned search tolerates the duplicate
-    /// candidates). O(log |touch_log| + touches since).
-    pub fn delta_since(&self, since: u64, delta: &mut ArenaDelta) {
-        let start = self.touch_log.partition_point(|&(g, _)| g < since);
-        for &(_, slot) in &self.touch_log[start..] {
-            if self.alive[slot] {
-                let (t, row) = self.slot_loc[slot];
-                delta.push(t, row);
-            }
-        }
-    }
-
     /// Unconditionally appends a new live slot holding the interned args.
-    fn push_slot_ids(&mut self, table: u32, args: &[TermId]) -> usize {
+    fn push_slot_ids(&mut self, table: u32, args: &[TermId]) {
         let slot = self.slot_loc.len();
         let row = self.arena.push_row(table, args);
         self.slot_loc.push((table, row));
@@ -269,9 +226,6 @@ impl BodyIndex {
         self.occurrences.entry(AtomFp::new(table, args)).or_default().push(slot);
         self.alive.push(true);
         self.live += 1;
-        self.slot_gen.push(self.gen);
-        self.touch_log.push((self.gen, slot));
-        slot
     }
 
     /// Appends a boxed atom (boundary conversion) unless the dedup policy
@@ -279,7 +233,7 @@ impl BodyIndex {
     /// live. Returns whether a slot was actually added.
     pub fn insert(&mut self, atom: &Atom, dedup: &DedupPolicy) -> bool {
         let mut scratch = Vec::with_capacity(atom.args.len());
-        let (table, _) = self.intern_atom(atom, &mut scratch);
+        let table = self.intern_atom(atom, &mut scratch);
         self.insert_ids(table, &scratch, dedup)
     }
 
@@ -416,8 +370,6 @@ impl BodyIndex {
             let new_fp = self.fp_of(t, row);
             let pred = self.arena.table(t).key().0;
             self.occurrences.entry(new_fp.clone()).or_default().push(slot);
-            self.slot_gen[slot] = self.gen;
-            self.touch_log.push((self.gen, slot));
             if !changed_preds.contains(&pred) {
                 changed_preds.push(pred);
             }

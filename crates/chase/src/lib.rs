@@ -27,15 +27,14 @@
 //! All query-level chases run on the **incremental indexed engine**
 //! ([`engine`]): a persistent [`index::BodyIndex`] (the body as `u32`
 //! term ids in per-predicate columnar tables of an
-//! [`eqsql_cq::TermArena`], with variable-occurrence lists, atom
-//! fingerprints and per-slot generation stamps) mutated in place,
-//! per-dependency compiled [`eqsql_cq::ArenaPlan`]s searched first-match
-//! over a reusable [`eqsql_cq::ArenaFrame`] with the
-//! conclusion-extension check seeded in, and delta-driven (semi-naive)
-//! dependency scheduling. Its one entry point, [`chase_indexed`], takes a
-//! dedup policy, an [`Admission`] mode and [`EngineOpts`] (delta-*seeded*
-//! premise search for budget-exhaustion asymptotics, a run guard, a step
-//! probe). [`set_chase()`], [`sound_chase_prepared_opts`] and
+//! [`eqsql_cq::TermArena`], with variable-occurrence lists and atom
+//! fingerprints) mutated in place, per-dependency compiled
+//! [`eqsql_cq::ArenaPlan`]s searched first-match over a reusable
+//! [`eqsql_cq::ArenaFrame`] with the conclusion-extension check seeded
+//! in, and delta-driven (semi-naive) dependency scheduling. Its one entry
+//! point, [`chase_indexed`], takes a dedup policy, an [`Admission`] mode
+//! and [`EngineOpts`] (a run guard and a step probe, neither of which
+//! changes a result). [`set_chase()`], [`sound_chase_prepared_opts`] and
 //! [`key_based_chase`] are thin wrappers over it. Every chase records a
 //! [`ChaseTrace`]: typed step records (dependency index, body size, the
 //! fired binding's terms) rendered to text only on demand. The original

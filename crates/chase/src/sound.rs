@@ -103,11 +103,9 @@ pub fn sound_chase_prepared(
     sound_chase_prepared_opts(sem, q, sigma_reg, schema, config, &EngineOpts::default())
 }
 
-/// [`sound_chase_prepared`] with explicit [`EngineOpts`] — delta-seeded
-/// premise search, run guard and step probe, as configured by a `Solver`
-/// in `eqsql_service`. With [`EngineOpts::default`] this is exactly
-/// [`sound_chase_prepared`]; delta seeding trades the reference-identical
-/// step order for asymptotic wins (terminals stay Σ-equivalent).
+/// [`sound_chase_prepared`] with explicit [`EngineOpts`] — the run guard
+/// and step probe a `Solver` in `eqsql_service` sets. With
+/// [`EngineOpts::default`] this is exactly [`sound_chase_prepared`].
 pub fn sound_chase_prepared_opts(
     sem: Semantics,
     q: &CqQuery,

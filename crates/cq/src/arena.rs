@@ -248,35 +248,6 @@ impl TermArena {
     }
 }
 
-/// Delta candidates for [`ArenaPlan::search_delta`]: recently added or
-/// rewritten rows, grouped by table, in touch order (duplicates allowed —
-/// the pinned passes tolerate them).
-#[derive(Default, Debug)]
-pub struct ArenaDelta {
-    by_table: HashMap<u32, Vec<u32>>,
-}
-
-impl ArenaDelta {
-    /// An empty delta.
-    pub fn new() -> ArenaDelta {
-        ArenaDelta::default()
-    }
-
-    /// Records `row` of table `t` as part of the delta.
-    pub fn push(&mut self, t: u32, row: u32) {
-        self.by_table.entry(t).or_default().push(row);
-    }
-
-    /// Is the delta empty?
-    pub fn is_empty(&self) -> bool {
-        self.by_table.values().all(|v| v.is_empty())
-    }
-
-    fn get(&self, t: u32) -> Option<&[u32]> {
-        self.by_table.get(&t).map(|v| v.as_slice())
-    }
-}
-
 /// One argument op of an [`ArenaPlan`] step.
 #[derive(Copy, Clone, Debug)]
 enum AOp {
@@ -466,32 +437,7 @@ impl ArenaPlan {
         frame: &mut ArenaFrame,
         emit: &mut dyn FnMut(&[TermId]) -> bool,
     ) -> bool {
-        self.run_step(arena, frame, None, usize::MAX, 0, emit)
-    }
-
-    /// [`ArenaPlan::search`] restricted to matches using at least one
-    /// delta row: one pinned pass per plan step, where pass `p` draws step
-    /// `p`'s candidates from the delta only, so a conjunction of `k` atoms
-    /// costs `k` searches that each touch the delta instead of the whole
-    /// table. Matches touching several delta rows may be emitted once per
-    /// pass; first-match callers don't care and enumerating callers dedup
-    /// by slot values.
-    pub fn search_delta(
-        &self,
-        arena: &TermArena,
-        delta: &ArenaDelta,
-        frame: &mut ArenaFrame,
-        emit: &mut dyn FnMut(&[TermId]) -> bool,
-    ) -> bool {
-        for pin in 0..self.steps.len() {
-            if delta.get(self.steps[pin].table).is_none_or(|c| c.is_empty()) {
-                continue; // nothing in the delta can satisfy this step
-            }
-            if !self.run_step(arena, frame, Some(delta), pin, 0, emit) {
-                return false;
-            }
-        }
-        true
+        self.run_step(arena, frame, 0, emit)
     }
 
     /// Is there any match extending the frame's seeds? Allocation-free.
@@ -508,8 +454,6 @@ impl ArenaPlan {
         &self,
         arena: &TermArena,
         frame: &mut ArenaFrame,
-        delta: Option<&ArenaDelta>,
-        pin: usize,
         depth: usize,
         emit: &mut dyn FnMut(&[TermId]) -> bool,
     ) -> bool {
@@ -518,13 +462,8 @@ impl ArenaPlan {
         }
         let step = &self.steps[depth];
         let table = arena.table(step.table);
-        let rows: &[u32] = if depth == pin {
-            delta.and_then(|d| d.get(step.table)).unwrap_or(&[])
-        } else {
-            table.live_rows()
-        };
         let ops = self.step_ops(step);
-        'cand: for &row in rows {
+        'cand: for &row in table.live_rows() {
             let mark = frame.trail.len();
             for (j, op) in ops.iter().enumerate() {
                 let cell = table.cols[j][row as usize];
@@ -550,7 +489,7 @@ impl ArenaPlan {
                     }
                 }
             }
-            let keep_going = self.run_step(arena, frame, delta, pin, depth + 1, emit);
+            let keep_going = self.run_step(arena, frame, depth + 1, emit);
             frame.undo_to(mark);
             if !keep_going {
                 return false;
@@ -699,24 +638,34 @@ mod tests {
         assert_eq!(arena.term(hits[0][plan.slot(Var::new("Y")).unwrap() as usize]), Term::int(3));
     }
 
+    /// The chase fires the first match and stops: an `emit` that returns
+    /// false ends the search after one emission, the search reports it,
+    /// and the trail is unwound so the frame serves the next search
+    /// without a reset.
     #[test]
-    fn delta_search_requires_a_delta_row() {
-        let src = body("q() :- e(X,Y)");
+    fn stopping_early_unwinds_the_trail() {
+        let src = body("q() :- e(X,Y), e(Y,Z)");
         let dst = body("q() :- e(1,2), e(2,3), e(3,4)");
         let mut arena = TermArena::new();
         load(&mut arena, &dst);
         let plan = ArenaPlan::new(&src, &mut arena);
-        let t = arena.lookup_table(&dst[0].key()).unwrap();
-        let mut delta = ArenaDelta::new();
-        delta.push(t, 2);
         let mut frame = ArenaFrame::for_plan(&plan);
-        let mut hits = Vec::new();
-        plan.search_delta(&arena, &delta, &mut frame, &mut |slots| {
-            hits.push(slots.to_vec());
-            true
-        });
-        assert_eq!(hits.len(), 1);
-        assert_eq!(arena.term(hits[0][0]), Term::int(3));
+        let mut firsts = Vec::new();
+        for _ in 0..2 {
+            let mut emitted = 0;
+            let finished = plan.search(&arena, &mut frame, &mut |slots| {
+                emitted += 1;
+                firsts.push(slots.iter().map(|&id| arena.term(id)).collect::<Vec<_>>());
+                false
+            });
+            assert!(!finished);
+            assert_eq!(emitted, 1);
+            assert!(frame.trail.is_empty() && !frame.bound.contains(&true));
+        }
+        assert_eq!(firsts[0], vec![Term::int(1), Term::int(2), Term::int(3)]);
+        assert_eq!(firsts[0], firsts[1]);
+        assert_eq!(all_matches(&src, &dst).len(), 2);
+        assert!(plan.has_match(&arena, &mut frame));
     }
 
     #[test]

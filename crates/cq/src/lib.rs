@@ -44,7 +44,7 @@ pub mod term;
 pub mod value;
 
 pub use aggregate::{AggFn, AggregateQuery};
-pub use arena::{ArenaDelta, ArenaFrame, ArenaPlan, ColumnTable, EqOp, SeedMap, TermArena, TermId};
+pub use arena::{ArenaFrame, ArenaPlan, ColumnTable, EqOp, SeedMap, TermArena, TermId};
 pub use atom::{Atom, Predicate};
 pub use hom::{containment_mapping, is_containment_mapping};
 pub use iso::{are_isomorphic, canonical_representation, find_isomorphism, is_isomorphism};

@@ -88,7 +88,8 @@
 //! [`eqsql_service::RequestRecord`], rendered by
 //! [`eqsql_service::RequestRecord::render`]. The fields are stable
 //! `key=value` pairs (space-separated; order fixed; new keys append
-//! before `msg`, which is always last and runs to end of line):
+//! before `msg`, which is always last and runs to end of line, with any
+//! CR or LF of the message rendered as a space):
 //!
 //! ```text
 //! verdict id=7 verb=equivalent outcome=equivalent terminal=ok positive=true

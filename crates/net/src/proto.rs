@@ -252,6 +252,19 @@ mod tests {
         let Response::Verdict(v) = parse_response(&line) else { panic!("not a verdict: {line}") };
         assert_eq!((v.id, v.verb.as_str(), v.outcome.as_str()), (4, "unparsed", "parse-error"));
         assert_eq!((v.terminal.as_str(), v.wall_us), ("error", 0));
+
+        // A multi-line panic message (an `assert_eq!` report) still renders
+        // as one line: `msg` runs to end of line, so CR and LF become
+        // spaces.
+        let panic = Error::internal("tuple arity mismatch\n  left: 2\r\n right: 1");
+        let line = RequestRecord::unparsed(5, panic).render();
+        assert!(!line.contains(['\n', '\r']), "verdict line spans lines: {line:?}");
+        let Response::Verdict(v) = parse_response(&line) else { panic!("not a verdict: {line}") };
+        assert_eq!((v.id, v.outcome.as_str(), v.terminal.as_str()), (5, "internal", "panic"));
+        assert_eq!(
+            v.msg.as_deref(),
+            Some("internal error: tuple arity mismatch   left: 2   right: 1")
+        );
     }
 
     #[test]

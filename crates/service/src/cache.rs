@@ -402,14 +402,9 @@ impl ChaseCache {
     /// so the *hit* path touches Σ not at all (the [`SoundChaser`] impl
     /// derives them on every call). Reports *where* the probe was
     /// answered ([`CacheOutcome`]) — the attribution point for per-request
-    /// tracing, exact even when other solvers share the cache.
-    ///
-    /// The caller's `ctx` must have been built with the `delta_seeding`
-    /// flag of `opts`: delta-seeded terminals are only Σ-equivalent to
-    /// reference terminals, so the two populations must not share cache
-    /// entries (the flag is part of the context key for exactly this
-    /// reason; the guard and probe never change results and are not
-    /// keyed).
+    /// tracing, exact even when other solvers share the cache. `opts`
+    /// carries the run guard and step probe; neither changes a result, so
+    /// neither is keyed.
     #[allow(clippy::too_many_arguments)]
     pub fn chase_keyed_attributed(
         &self,
@@ -490,7 +485,7 @@ impl SoundChaser for ChaseCache {
         config: &ChaseConfig,
     ) -> Result<SoundChased, ChaseError> {
         let (sigma_reg, reg_text) = self.regularized_with_text(sigma);
-        let ctx = ChaseContext::with_text(sem, reg_text, schema, config, false);
+        let ctx = ChaseContext::with_text(sem, reg_text, schema, config);
         let opts = EngineOpts::default();
         self.chase_keyed_attributed(&ctx, &sigma_reg, sem, q, schema, config, &opts).0
     }

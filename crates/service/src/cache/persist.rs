@@ -26,15 +26,18 @@
 //!
 //! ```text
 //! body    := context entry
-//! context := semantics delta_flag max_steps max_atoms set_valued_names sigma
+//! context := semantics reserved max_steps max_atoms set_valued_names sigma
 //! entry   := representative_query outcome
 //! ```
 //!
-//! The context part is the key material (semantics, engine mode, budgets,
-//! sorted set-valued relation names, the regularized Σ as tgd/egd trees);
-//! the entry part is the representative query and the outcome — a
-//! terminal chase (terminal query, failure flag, step count, accumulated
-//! renaming) or a cacheable [`ChaseError`] via its stable wire code.
+//! The context part is the key material (semantics, budgets, sorted
+//! set-valued relation names, the regularized Σ as tgd/egd trees). The
+//! `reserved` byte is always 0; it keeps the layout of files written when
+//! it flagged an engine mode, and a record holding any other value is
+//! refused as invalid (no live probe could match it). The entry part is
+//! the representative query and the outcome — a terminal chase (terminal
+//! query, failure flag, step count, accumulated renaming) or a cacheable
+//! [`ChaseError`] via its stable wire code.
 //! Symbols are stored as name strings and re-interned on decode (interner
 //! ids are process-local); substitutions are stored in sorted order, so
 //! encoding is byte-deterministic and fixtures are reproducible.
@@ -393,7 +396,7 @@ impl Enc {
     /// The context part of a body: the key material besides the query.
     fn context(&mut self, ctx: &ChaseContext, sigma: &DependencySet) {
         self.u8(sem_tag(ctx.sem()));
-        self.u8(ctx.delta_seeding() as u8);
+        self.u8(0); // reserved
         self.u64v(ctx.max_steps() as u64);
         self.u64v(ctx.max_atoms() as u64);
         self.u32v(ctx.set_valued().len() as u32);
@@ -561,11 +564,9 @@ impl<'a> Dec<'a> {
             Some(s) => s,
             None => return self.fail("unknown semantics tag"),
         };
-        let delta_seeding = match self.u8()? {
-            0 => false,
-            1 => true,
-            _ => return self.fail("invalid delta flag"),
-        };
+        if self.u8()? != 0 {
+            return self.fail("nonzero reserved byte");
+        }
         let max_steps = self.u64v()? as usize;
         let max_atoms = self.u64v()? as usize;
         let n = self.u32v()? as usize;
@@ -597,7 +598,6 @@ impl<'a> Dec<'a> {
             set_valued.into(),
             max_steps,
             max_atoms,
-            delta_seeding,
         );
         Ok((ctx, sigma))
     }
@@ -667,9 +667,10 @@ pub fn encode_record(record: &PersistRecord) -> Vec<u8> {
 }
 
 /// Deserializes a record body, validating every structural invariant the
-/// encoder maintains (tags, utf-8, sortedness of the set-valued list,
-/// non-empty names, no trailing bytes). The context fingerprint is
-/// recomputed from the decoded material, never read from disk.
+/// encoder maintains (tags, the zero reserved byte, utf-8, sortedness of
+/// the set-valued list, non-empty names, no trailing bytes). The context
+/// fingerprint is recomputed from the decoded material, never read from
+/// disk.
 pub fn decode_record(body: &[u8]) -> Result<PersistRecord, DecodeError> {
     let mut d = Dec { buf: body, pos: 0 };
     let (ctx, sigma) = d.context()?;
@@ -1385,6 +1386,18 @@ mod tests {
             // Encoding is byte-deterministic.
             assert_eq!(body, encode_record(&decoded));
         }
+    }
+
+    /// The context's second body byte (right after the semantics tag) is
+    /// reserved: a record holding anything but 0 there is invalid.
+    #[test]
+    fn nonzero_reserved_byte_is_refused() {
+        let body = encode_record(&sample_record(false));
+        assert_eq!(body[1], 0);
+        assert!(decode_record(&body).is_ok());
+        let mut flagged = body.clone();
+        flagged[1] = 1;
+        assert!(decode_record(&flagged).is_err());
     }
 
     #[test]

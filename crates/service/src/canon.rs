@@ -227,11 +227,6 @@ pub struct ChaseContext {
     set_valued: std::sync::Arc<[String]>,
     max_steps: usize,
     max_atoms: usize,
-    /// Was the chase delta-seeded (`EngineOpts::delta_seeding`)? Delta
-    /// seeding changes the firing order, so terminal queries are only
-    /// Σ-equivalent — not isomorphic — to the reference engine's; cached
-    /// results therefore must not cross the flag.
-    delta_seeding: bool,
 }
 
 impl ChaseContext {
@@ -245,7 +240,7 @@ impl ChaseContext {
         schema: &Schema,
         config: &ChaseConfig,
     ) -> ChaseContext {
-        ChaseContext::with_text(sem, sigma.to_string().into(), schema, config, false)
+        ChaseContext::with_text(sem, sigma.to_string().into(), schema, config)
     }
 
     /// [`ChaseContext::new`] from an already-rendered Σ — rendering is the
@@ -256,7 +251,6 @@ impl ChaseContext {
         sigma_text: std::sync::Arc<str>,
         schema: &Schema,
         config: &ChaseConfig,
-        delta_seeding: bool,
     ) -> ChaseContext {
         let mut set_valued: Vec<String> =
             schema.set_valued_relations().into_iter().map(|p| p.name().to_string()).collect();
@@ -267,7 +261,6 @@ impl ChaseContext {
             set_valued.into(),
             config.max_steps,
             config.max_atoms,
-            delta_seeding,
         )
     }
 
@@ -282,30 +275,15 @@ impl ChaseContext {
         set_valued: std::sync::Arc<[String]>,
         max_steps: usize,
         max_atoms: usize,
-        delta_seeding: bool,
     ) -> ChaseContext {
         let sem_tag: u8 = match sem {
             Semantics::Set => 0,
             Semantics::Bag => 1,
             Semantics::BagSet => 2,
         };
-        let fingerprint = h64((
-            sem_tag,
-            sigma_text.as_ref(),
-            set_valued.as_ref(),
-            max_steps,
-            max_atoms,
-            delta_seeding,
-        ));
-        ChaseContext {
-            fingerprint,
-            sem,
-            sigma_text,
-            set_valued,
-            max_steps,
-            max_atoms,
-            delta_seeding,
-        }
+        let fingerprint =
+            h64((sem_tag, sigma_text.as_ref(), set_valued.as_ref(), max_steps, max_atoms));
+        ChaseContext { fingerprint, sem, sigma_text, set_valued, max_steps, max_atoms }
     }
 
     /// The context's bucketing fingerprint.
@@ -338,11 +316,6 @@ impl ChaseContext {
         self.max_atoms
     }
 
-    /// Was the keyed chase delta-seeded?
-    pub(crate) fn delta_seeding(&self) -> bool {
-        self.delta_seeding
-    }
-
     /// Exact equality of the key material — the authority a fingerprint
     /// match is confirmed against.
     pub fn same(&self, other: &ChaseContext) -> bool {
@@ -350,7 +323,6 @@ impl ChaseContext {
             && self.sem == other.sem
             && self.max_steps == other.max_steps
             && self.max_atoms == other.max_atoms
-            && self.delta_seeding == other.delta_seeding
             && self.set_valued == other.set_valued
             && self.sigma_text == other.sigma_text
     }

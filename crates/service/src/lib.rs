@@ -10,8 +10,7 @@
 //! and the layer that removes redundant chase work:
 //!
 //! * [`solver`] — the façade. A [`SolverBuilder`] captures chase
-//!   budgets, engine knobs ([`eqsql_chase::EngineOpts`]: delta seeding),
-//!   cache sizing and worker threads; [`Solver::decide`] answers any
+//!   budgets, cache sizing and worker threads; [`Solver::decide`] answers any
 //!   [`Request`] with a typed [`Verdict`] whose [`Answer`] carries
 //!   machine-checkable evidence (a request without a semantics is
 //!   decided under set semantics); [`Solver::decide_all`] dispatches a
@@ -56,8 +55,7 @@
 //!   replays, used by the randomized suite to prove evidence is real
 //!   rather than decorative;
 //! * [`canon`] — renaming-invariant fingerprints of `(query, Σ,
-//!   semantics, set-valuedness flags, budgets, engine mode)`, the cache
-//!   key material;
+//!   semantics, set-valuedness flags, budgets)`, the cache key material;
 //! * [`cache`] — the sharded `(Q, Σ)` chase-result cache: fingerprint
 //!   buckets confirmed by exact isomorphism, α-equivalent probes replayed
 //!   through the witnessing bijection, terminal errors cached alongside
@@ -79,11 +77,8 @@
 //! chase commutes with α-renaming, so one terminal per α-class suffices,
 //! replayed through the class bijection; fingerprints are necessary but
 //! never sufficient — every probe is confirmed by exact isomorphism (and
-//! exact context equality) before an entry is trusted. Delta-seeded
-//! engines produce terminals that are only Σ-equivalent to the reference
-//! engine's, so the engine mode is part of the context key. See
-//! [`cache`] and [`canon`] for the full argument and the poisoning-guard
-//! tests.
+//! exact context equality) before an entry is trusted. See [`cache`] and
+//! [`canon`] for the full argument and the poisoning-guard tests.
 //!
 //! ## Persistence format & recovery guarantees
 //!
@@ -226,7 +221,7 @@ pub mod request;
 pub mod solver;
 
 // Re-exported so Solver callers can speak the façade's full vocabulary
-// (semantics, budgets, engine knobs) without importing substrate crates.
+// (semantics, budgets, run guards) without importing substrate crates.
 pub use cache::persist::{PersistConfig, PersistFault, PersistStats};
 pub use cache::{CacheConfig, CacheOutcome, CacheStats, ChaseCache};
 pub use canon::{cache_key, context_fingerprint, query_fingerprint, ChaseContext};

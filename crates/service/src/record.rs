@@ -83,6 +83,8 @@ impl RequestRecord {
     ///   then `attempts`, `engine_steps`, `scans`, `mem_hits` and
     ///   `disk_hits`;
     /// * for an error, `msg`, always last because it runs to end of line.
+    ///   Its CR and LF characters are rendered as spaces, so a multi-line
+    ///   message (a panic's `assert_eq!` report) stays on the one line.
     ///
     /// The order is part of the `eqsql_net` wire protocol: new fields go
     /// before `msg`.
@@ -114,7 +116,10 @@ impl RequestRecord {
             );
         }
         if let Err(e) = &self.verdict {
-            let _ = write!(line, " msg={e}");
+            line.push_str(" msg=");
+            line.extend(
+                e.to_string().chars().map(|c| if c == '\r' || c == '\n' { ' ' } else { c }),
+            );
         }
         line
     }

@@ -30,15 +30,15 @@
 //! ```
 //!
 //! A [`SolverBuilder`] captures everything that used to be passed
-//! piecemeal — chase budgets, engine knobs ([`EngineOpts`]: delta
-//! seeding), cache configuration and worker-thread count. A [`Request`]
-//! names the decision (with optional per-request semantics/budget
-//! overrides; set semantics when none is given), and the answer is a
-//! [`Verdict`]: a typed [`Answer`] carrying the certificate the paper's
-//! theorems say must exist (witnessing homomorphisms per containment
-//! direction, the separating database on inequivalence, the reformulated
-//! queries for C&B) plus per-decision chase/cache statistics. Failures
-//! surface through the unified [`crate::Error`] taxonomy.
+//! piecemeal — chase budgets, cache configuration and worker-thread
+//! count. A [`Request`] names the decision (with optional per-request
+//! semantics/budget overrides; set semantics when none is given), and the
+//! answer is a [`Verdict`]: a typed [`Answer`] carrying the certificate
+//! the paper's theorems say must exist (witnessing homomorphisms per
+//! containment direction, the separating database on inequivalence, the
+//! reformulated queries for C&B) plus per-decision chase/cache
+//! statistics. Failures surface through the unified [`crate::Error`]
+//! taxonomy.
 //!
 //! Every chase the Solver issues is routed through its shared
 //! [`ChaseCache`], so streams of related requests (the C&B backchase, a
@@ -637,7 +637,6 @@ pub struct SolverBuilder {
     sigma: DependencySet,
     schema: Schema,
     config: ChaseConfig,
-    engine: EngineOpts,
     cache: Option<Arc<ChaseCache>>,
     cache_config: CacheConfig,
     threads: usize,
@@ -647,14 +646,13 @@ pub struct SolverBuilder {
 
 impl SolverBuilder {
     /// Starts a builder over Σ and a schema. Defaults: default chase
-    /// budgets, reference engine (no delta seeding), a fresh default-sized
-    /// cache, one worker thread, counterexample search enabled.
+    /// budgets, a fresh default-sized cache, one worker thread,
+    /// counterexample search enabled.
     pub fn new(sigma: DependencySet, schema: Schema) -> SolverBuilder {
         SolverBuilder {
             sigma,
             schema,
             config: ChaseConfig::default(),
-            engine: EngineOpts::default(),
             cache: None,
             cache_config: CacheConfig::default(),
             threads: 1,
@@ -666,12 +664,6 @@ impl SolverBuilder {
     /// Default chase budgets.
     pub fn chase_config(mut self, config: ChaseConfig) -> SolverBuilder {
         self.config = config;
-        self
-    }
-
-    /// Engine knobs: delta-seeded premise search.
-    pub fn engine_opts(mut self, engine: EngineOpts) -> SolverBuilder {
-        self.engine = engine;
         self
     }
 
@@ -717,19 +709,12 @@ impl SolverBuilder {
         let cache = self.cache.unwrap_or_else(|| Arc::new(ChaseCache::new(self.cache_config)));
         let (sigma_reg, reg_text) = cache.regularized_with_text(&self.sigma);
         let ctx = [Semantics::Set, Semantics::Bag, Semantics::BagSet].map(|sem| {
-            ChaseContext::with_text(
-                sem,
-                Arc::clone(&reg_text),
-                &self.schema,
-                &self.config,
-                self.engine.delta_seeding,
-            )
+            ChaseContext::with_text(sem, Arc::clone(&reg_text), &self.schema, &self.config)
         });
         Solver {
             sigma: self.sigma,
             schema: self.schema,
             config: self.config,
-            engine: self.engine,
             cache,
             threads: self.threads,
             counterexamples: self.counterexamples,
@@ -754,7 +739,6 @@ pub struct Solver {
     sigma: DependencySet,
     schema: Schema,
     config: ChaseConfig,
-    engine: EngineOpts,
     cache: Arc<ChaseCache>,
     threads: usize,
     counterexamples: bool,
@@ -824,8 +808,8 @@ fn sem_index(sem: Semantics) -> usize {
 struct SolverChaser<'a> {
     solver: &'a Solver,
     config: ChaseConfig,
-    /// The solver's engine knobs with this decision's [`RunGuard`]
-    /// threaded in — what every chase of the decision actually runs under.
+    /// This decision's [`RunGuard`] and step probe — what every chase of
+    /// the decision runs under.
     engine: EngineOpts,
     /// Context keys for an overridden budget, built at most once per
     /// semantics per decision (the budget is fixed for the whole
@@ -861,15 +845,7 @@ impl SoundChaser for SolverChaser<'_> {
         let ctx = if default_budget {
             &s.ctx[sem_index(sem)]
         } else {
-            let build = || {
-                ChaseContext::with_text(
-                    sem,
-                    Arc::clone(&s.reg_text),
-                    schema,
-                    config,
-                    s.engine.delta_seeding,
-                )
-            };
+            let build = || ChaseContext::with_text(sem, Arc::clone(&s.reg_text), schema, config);
             self.override_ctx[sem_index(sem)].get_or_init(|| match self.trace {
                 Some(t) => t.time(Phase::Regularize, build),
                 None => build(),
@@ -1260,19 +1236,14 @@ impl Solver {
         // zero per-step cost, step-identical to the pre-guard engine.
         let guard =
             RunGuard::new(opts.deadline_ms.or(env.deadline_ms), env.cancel.cloned(), opts.fault);
-        let mut engine = self.engine.clone().guarded(guard.clone());
         // Arm a work probe only when tracing: the disarmed default is one
         // `Option` test per engine callback and the armed probe is pure
         // accounting, so the step sequence is identical either way.
-        let probe = env.trace.map(|_| {
-            let p = StepProbe::armed();
-            engine.probe = p.clone();
-            p
-        });
+        let probe = env.trace.map(|_| StepProbe::armed());
         let chaser = SolverChaser {
             solver: self,
             config,
-            engine,
+            engine: EngineOpts { guard: guard.clone(), probe: probe.clone().unwrap_or_default() },
             override_ctx: [OnceLock::new(), OnceLock::new(), OnceLock::new()],
             mem_hits: AtomicU64::new(0),
             disk_hits: AtomicU64::new(0),
@@ -2078,5 +2049,38 @@ mod tests {
         let stats = s.stats();
         assert_eq!(stats.latency.count, 2);
         assert!(stats.phase.chase_us + stats.phase.cache_us + stats.phase.evidence_us > 0);
+    }
+
+    /// A decision that panics is isolated to an [`Error::Internal`] whose
+    /// record is one line, for the wire and for the trace sink alike,
+    /// although the panic message (an `assert_eq!` report) spans several.
+    /// The request is malformed on purpose: its binary `a` atom against
+    /// the schema's `a/1` trips the bag relation's arity assertion.
+    #[test]
+    fn a_panicking_decision_renders_one_line() {
+        let sigma = parse_dependencies("a(X) -> b(X).").unwrap();
+        let schema = Schema::all_bags(&[("a", 1), ("b", 1)]);
+        let sink = Arc::new(eqsql_obs::VecSink::new());
+        let s = Solver::builder(sigma, schema)
+            .trace_sink(Arc::clone(&sink) as Arc<dyn TraceSink>)
+            .build();
+        let req = Request::Equivalent {
+            q1: q("q(X) :- a(X), a(X,Y)"),
+            q2: q("q(X) :- a(X)"),
+            opts: RequestOpts::with_sem(Semantics::Bag),
+        };
+        let record = s.decide_request(&req, &BatchOptions::default(), Instant::now(), 7);
+        let Err(Error::Internal { message }) = &record.verdict else {
+            panic!("expected an isolated panic, got {:?}", record.verdict)
+        };
+        assert!(message.contains('\n'), "a one-line panic message proves nothing: {message}");
+        let line = record.render();
+        assert!(!line.contains(['\n', '\r']), "{line}");
+        assert!(line.starts_with("verdict id=7 verb=equivalent "), "{line}");
+        assert!(line.contains(" terminal=panic "), "{line}");
+        let flat = message.replace(['\r', '\n'], " ");
+        assert!(line.ends_with(&format!(" msg=internal error: {flat}")), "{line}");
+        assert_eq!(sink.lines(), vec![line]);
+        assert_eq!(s.stats().panics, 1);
     }
 }

@@ -132,7 +132,7 @@ gate_family() {
 }
 if [ -f "$OUT" ]; then
     gate_family "set_chase" '^chase_scaling/.*/set_chase/' '/set_chase/' '/set_chase_reference/'
-    gate_family "hom_search" '^hom_search/.*/(planned|delta|indexed)/' '/(planned|delta|indexed)/' '/reference/'
+    gate_family "hom_search" '^hom_search/.*/(planned|indexed)/' '/(planned|indexed)/' '/reference/'
 fi
 
 jq -s --arg date "$(date -u +%Y-%m-%dT%H:%M:%SZ)" --arg samples "$SAMPLES" \
@@ -158,7 +158,7 @@ jq -s --arg date "$(date -u +%Y-%m-%dT%H:%M:%SZ)" --arg samples "$SAMPLES" \
     ),
     hom_search: (
       map(select(.id | startswith("hom_search/")))
-      | group_by(.id | sub("/(planned|delta|indexed|reference)/"; "/")) | map(
+      | group_by(.id | sub("/(planned|indexed|reference)/"; "/")) | map(
         (map(select(.id | contains("/reference/"))) | first) as $ref |
         select($ref != null) |
         {

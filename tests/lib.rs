@@ -1,8 +1,9 @@
 //! Shared fixtures for the integration test suite.
 //!
 //! The tests in `tests/` reproduce, end to end and at the public-API
-//! level, every worked example of Chirkova & Genesereth (PODS 2009) —
-//! see `EXPERIMENTS.md` at the repository root for the experiment index.
+//! level, every worked example of Chirkova & Genesereth (PODS 2009):
+//! `tests/paper_examples.rs` holds one test per example, each labelled
+//! with its experiment id in its doc line.
 
 use eqsql_deps::{parse_dependencies, DependencySet};
 use eqsql_relalg::Schema;

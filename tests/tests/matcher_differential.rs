@@ -3,7 +3,7 @@
 //! engines search — against the naive backtracking oracle
 //! ([`eqsql_cq::matcher::reference`]).
 //!
-//! Three contracts, each over randomized conjunctions:
+//! Two contracts, each over randomized conjunctions:
 //!
 //! 1. **Hom sets agree modulo order** — plan-ordered trail search
 //!    (reference-order and selectivity-optimized plans alike, boxed and
@@ -13,9 +13,6 @@
 //!    reference emission order (reference-order plans), the first
 //!    homomorphism is bit-identical to the oracle's, with and without
 //!    filter predicates.
-//! 3. **Delta search ≡ post-filter** — the arena plan's delta-constrained
-//!    search emits precisely the homomorphisms of the unconstrained set
-//!    that can map some source atom onto a delta row.
 //!
 //! Plus the bijection search behind `find_isomorphism`: constructed
 //! renamings must be found (and verified to carry q1 onto q2), mutations
@@ -23,7 +20,7 @@
 
 use eqsql_cq::matcher::{bucket_atoms, reference, MatchPlan, Seed, Target};
 use eqsql_cq::{
-    find_isomorphism, ArenaDelta, ArenaFrame, ArenaPlan, Atom, CqQuery, Subst, Term, TermArena, Var,
+    find_isomorphism, ArenaFrame, ArenaPlan, Atom, CqQuery, Subst, Term, TermArena, Var,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -91,17 +88,15 @@ fn search_all(plan: &MatchPlan, dst: &[Atom], seed: &Subst) -> Vec<Subst> {
 }
 
 /// Loads `dst` into a fresh arena, rows in slot order (as the chase
-/// engine's body index appends them). Returns the arena and each target
-/// slot's `(table, row)`.
-fn load_arena(dst: &[Atom]) -> (TermArena, Vec<(u32, u32)>) {
+/// engine's body index appends them).
+fn load_arena(dst: &[Atom]) -> TermArena {
     let mut arena = TermArena::new();
-    let mut rows = Vec::with_capacity(dst.len());
     for a in dst {
         let t = arena.table_id(a.key());
         let ids: Vec<_> = a.args.iter().map(|arg| arena.intern(*arg)).collect();
-        rows.push((t, arena.push_row(t, &ids)));
+        arena.push_row(t, &ids);
     }
-    (arena, rows)
+    arena
 }
 
 /// Searches an arena plan with `seed` planted, handing each match to
@@ -159,7 +154,7 @@ fn hom_sets_agree_modulo_order() {
         let by_optimized = search_all(&MatchPlan::optimized(&src, &seeded), &dst, &seed);
         assert_eq!(hom_set(&by_optimized), oracle_set, "round {round}: optimized plan diverged");
 
-        let (mut arena, _) = load_arena(&dst);
+        let mut arena = load_arena(&dst);
         let arena_plans = [
             ("new", ArenaPlan::new(&src, &mut arena)),
             ("optimized", ArenaPlan::optimized(&src, &seeded, &mut arena)),
@@ -213,7 +208,7 @@ fn first_match_is_identical_in_reference_order() {
         assert_eq!(planned_where, oracle_where, "round {round}: filtered first match diverged");
 
         // The arena plan the engine fires from, under the same contract.
-        let (mut arena, _) = load_arena(&dst);
+        let mut arena = load_arena(&dst);
         let plan = ArenaPlan::new(&src, &mut arena);
         let mut arena_first: Option<Subst> = None;
         arena_search(&plan, &mut arena, &seed, &mut |h| {
@@ -231,52 +226,6 @@ fn first_match_is_identical_in_reference_order() {
             }
         });
         assert_eq!(arena_where, oracle_where, "round {round}: arena filtered first match diverged");
-    }
-}
-
-/// Can `h` map some source atom onto a delta target atom? The post-filter
-/// formulation of the delta constraint.
-fn touches_delta(h: &Subst, src: &[Atom], dst: &[Atom], delta_slots: &[usize]) -> bool {
-    src.iter().any(|a| {
-        let image = h.apply_atom(a);
-        delta_slots.iter().any(|&j| dst[j] == image)
-    })
-}
-
-#[test]
-fn delta_search_equals_post_filtering() {
-    let mut rng = StdRng::seed_from_u64(0xDE17A);
-    for round in 0..300 {
-        let n_src = rng.gen_range(1..=3);
-        let src = random_conjunction(&mut rng, n_src, 0.1);
-        let n_dst = rng.gen_range(2..=8);
-        let dst = random_target(&mut rng, n_dst);
-        // A random subset of target slots is the delta.
-        let delta_slots: Vec<usize> = (0..dst.len()).filter(|_| rng.gen_bool(0.35)).collect();
-        let (mut arena, rows) = load_arena(&dst);
-        let mut delta = ArenaDelta::new();
-        for &j in &delta_slots {
-            delta.push(rows[j].0, rows[j].1);
-        }
-        let plan = ArenaPlan::new(&src, &mut arena);
-        let mut frame = ArenaFrame::for_plan(&plan);
-        let mut constrained: HashSet<Vec<(Var, Term)>> = HashSet::new();
-        plan.search_delta(&arena, &delta, &mut frame, &mut |slots| {
-            let mut h = Subst::new();
-            plan.bind_subst(&arena, slots, &mut h);
-            constrained.insert(h.sorted_pairs());
-            true
-        });
-        let (all, _) = reference::enumerate_homomorphisms(&src, &dst, &Subst::new(), 1_000_000);
-        let filtered: HashSet<Vec<(Var, Term)>> = all
-            .iter()
-            .filter(|h| touches_delta(h, &src, &dst, &delta_slots))
-            .map(Subst::sorted_pairs)
-            .collect();
-        assert_eq!(
-            constrained, filtered,
-            "round {round}: delta-constrained search ≠ post-filtered set (delta {delta_slots:?})"
-        );
     }
 }
 

@@ -1,7 +1,7 @@
-//! Every worked example of the paper, end to end (experiment ids E1–E7,
-//! E14, E16 of DESIGN.md). Each test exercises the public API across
-//! crates and cross-validates decision-procedure verdicts against the
-//! evaluation engine on concrete databases.
+//! Every worked example of the paper, end to end. Each test carries an
+//! experiment id (E1–E7, E10, E14, E16) in its doc line, exercises the
+//! public API across crates and cross-validates decision-procedure
+//! verdicts against the evaluation engine on concrete databases.
 
 // The deprecated convenience entry points remain the differential oracle
 // for the Solver suite; this legacy-surface test keeps exercising them.
@@ -74,6 +74,22 @@ fn example_4_1_complete() {
 }
 
 /// E2 — Examples 4.2/4.3: assignment-fixing verdicts.
+///
+/// **Example 4.3 erratum.** The paper prints Σ′ = {σ2, σ4, σ5, σ6}:
+/// σ2 the key of R, σ4 `p(X,Y) -> ∃Z,W,T r(X,Z) ∧ s(Z,W) ∧ s(X,T)`,
+/// σ5 `r(X,Z) ∧ s(Z,W) ∧ s(X,T) -> W = T` and σ6
+/// `p(X,Y) ∧ r(A,X) ∧ s(X,T) -> X = T`. It then says σ4 is *not*
+/// assignment-fixing w.r.t. `Q(X) :- p(X,Y)`, because nothing forces the
+/// copies of `W` and `T` together. The chase of the test query disagrees:
+/// σ2 merges `Z` with its copy `θ(Z)`, and σ5 then equates `W`, `T` and
+/// their copies, so under Σ′ as printed σ4 *is* assignment-fixing w.r.t.
+/// Q. This test pins that verdict. The behaviour the example means to
+/// show needs the reduced Σ {σ4, σ2}, where only R's key is available and
+/// the copies of `W` and `T` stay apart. That is why every test of a
+/// non-assignment-fixing σ4 step (here, `example_4_7_and_4_8` and the
+/// unit tests of `eqsql_chase::assignment_fixing`) uses the reduced Σ.
+/// Example 5.1 keeps Σ′ as printed: there the verdict is positive, as the
+/// paper says.
 #[test]
 fn example_4_2_and_4_3() {
     // Example 4.2: σ1 IS assignment-fixing w.r.t. Q.
@@ -87,7 +103,22 @@ fn example_4_2_and_4_3() {
     let sigma1 = sigma_42.tgds().next().unwrap().clone();
     assert_eq!(is_assignment_fixing_wrt_query(&q, &sigma_42, &sigma1, &cfg()).unwrap(), Some(true));
 
-    // Example 4.3 (reduced per the erratum note in EXPERIMENTS.md): σ4 is
+    // Example 4.3 as printed, Σ′ = {σ2, σ4, σ5, σ6}: σ4 IS
+    // assignment-fixing w.r.t. Q (see the erratum note above).
+    let sigma_43_printed = parse_dependencies(
+        "r(X,Y) & r(X,Z) -> Y = Z.\n\
+         p(X,Y) -> r(X,Z) & s(Z,W) & s(X,T).\n\
+         r(X,Z) & s(Z,W) & s(X,T) -> W = T.\n\
+         p(X,Y) & r(A,X) & s(X,T) -> X = T.",
+    )
+    .unwrap();
+    let sigma4 = sigma_43_printed.tgds().next().unwrap().clone();
+    assert_eq!(
+        is_assignment_fixing_wrt_query(&q, &sigma_43_printed, &sigma4, &cfg()).unwrap(),
+        Some(true)
+    );
+
+    // Example 4.3 reduced per the erratum note above, Σ = {σ4, σ2}: σ4 is
     // NOT assignment-fixing w.r.t. Q with only the key of R available.
     let sigma_43 = parse_dependencies(
         "p(X,Y) -> r(X,Z) & s(Z,W) & s(X,T).\n\
@@ -177,7 +208,8 @@ fn example_4_6() {
 /// E5 — Examples 4.7/4.8: unsound vs sound chase steps, verified on data.
 #[test]
 fn example_4_7_and_4_8() {
-    // 4.7 (reduced Σ, see EXPERIMENTS.md): the chase step with the
+    // 4.7 (reduced Σ, see the Example 4.3 erratum note on
+    // `example_4_2_and_4_3`): the chase step with the
     // non-assignment-fixing σ4 is unsound; witness = canonical database of
     // the chased test query, here hand-rolled following the paper:
     // D = {P(1,2), R(1,3), S(1,4), S(1,5), S(3,4), S(3,5)}.

@@ -396,48 +396,65 @@ fn an_idle_guard_is_step_identical_to_no_guard() {
     }
 }
 
-/// Engine knobs thread through the façade: delta-seeded Solvers must
-/// return the same verdicts as the reference engine (delta
-/// terminals are only Σ-equivalent, so the two populations get distinct
-/// cache contexts — sharing one cache must stay sound).
+/// The step probe is invisible too, and no engine hook is part of a cache
+/// key: on the randomized suite, a Solver that observes (its trace sink
+/// arms a probe on every decision) is step-identical to a plain Solver,
+/// and a plain Solver sharing the observing one's cache answers the same
+/// batch from it without a miss.
 #[test]
-fn engine_opts_thread_through_without_changing_verdicts() {
-    use eqsql_chase::EngineOpts;
+fn an_armed_probe_is_step_identical_and_shares_cache_entries() {
+    use eqsql_obs::{TraceSink, VecSink};
+    use std::sync::Arc;
     let schema = schema();
-    let config = ChaseConfig::default();
-    let mut rng = StdRng::seed_from_u64(0xDE17A);
-    for round in 0..30 {
+    let mut rng = StdRng::seed_from_u64(0x9E0BE);
+    for round in 0..60 {
         let sigma = random_weakly_acyclic_sigma(
             &mut rng,
             &schema,
             &SigmaParams { tgds: 3, egds: 2, reuse_prob: 0.6 },
         );
-        let params =
-            QueryParams { atoms: 3, vars: 4, const_prob: 0.1, const_domain: 3, max_head: 2 };
+        let params = QueryParams {
+            atoms: 2 + (round % 3),
+            vars: 4,
+            const_prob: 0.1,
+            const_domain: 3,
+            max_head: 2,
+        };
         let q1 = random_query(&mut rng, &schema, &params);
         let q2 = if rng.gen_bool(0.5) {
             rename_isomorphic(&mut rng, &q1)
         } else {
             random_query(&mut rng, &schema, &params)
         };
-        let reference = Solver::builder(sigma.clone(), schema.clone()).build();
-        let cache = std::sync::Arc::clone(reference.cache());
-        let tuned = Solver::builder(sigma.clone(), schema.clone())
-            .engine_opts(EngineOpts::delta_seeded())
-            .cache(std::sync::Arc::clone(&cache))
-            .build();
-        for sem in [Semantics::Set, Semantics::Bag, Semantics::BagSet] {
-            let req = Request::Equivalent {
+        let batch: Vec<Request> = [Semantics::Set, Semantics::Bag, Semantics::BagSet]
+            .into_iter()
+            .map(|sem| Request::Equivalent {
                 q1: q1.clone(),
                 q2: q2.clone(),
                 opts: RequestOpts::with_sem(sem),
-            };
-            let want = sigma_equivalent(sem, &q1, &q2, &sigma, &schema, &config);
-            assert_eq!(
-                equiv_outcome(&tuned.decide(&req)),
-                want,
-                "round {round} ({sem}): tuned engine disagrees on {q1} vs {q2}"
-            );
-        }
+            })
+            .collect();
+        let sink = Arc::new(VecSink::new());
+        let observed = Solver::builder(sigma.clone(), schema.clone())
+            .trace_sink(Arc::clone(&sink) as Arc<dyn TraceSink>)
+            .build();
+        let plain = Solver::builder(sigma.clone(), schema.clone()).build();
+        let a = plain.decide_all(&batch);
+        let b = observed.decide_all(&batch);
+        assert_eq!(sink.lines().len(), batch.len(), "round {round}: one trace line per request");
+        let kinds = |vs: &[Result<eqsql_service::Verdict, Error>]| -> Vec<EquivOutcome> {
+            vs.iter().map(equiv_outcome).collect()
+        };
+        assert_eq!(kinds(&a.verdicts), kinds(&b.verdicts), "round {round}: verdicts diverge");
+        assert_eq!(a.stats.chase_steps, b.stats.chase_steps, "round {round}: step counts diverge");
+        assert_eq!(a.stats.cache_hits, b.stats.cache_hits, "round {round}");
+        assert_eq!(a.stats.cache_misses, b.stats.cache_misses, "round {round}");
+
+        let shared =
+            Solver::builder(sigma, schema.clone()).cache(Arc::clone(observed.cache())).build();
+        let c = shared.decide_all(&batch);
+        assert_eq!(kinds(&c.verdicts), kinds(&b.verdicts), "round {round}: shared cache diverges");
+        assert_eq!(c.stats.cache_misses, 0, "round {round}: {:?}", c.stats);
+        assert_eq!(c.stats.cache_hits, b.stats.cache_hits + b.stats.cache_misses, "round {round}");
     }
 }
