@@ -19,7 +19,7 @@ use eqsql_bench::workloads::{repeated_subquery_pairs, workload_schema, workload_
 use eqsql_chase::ChaseConfig;
 use eqsql_service::{CacheConfig, ChaseCache, PersistConfig, Solver};
 use std::hint::black_box;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -29,7 +29,7 @@ fn scratch_root() -> PathBuf {
     std::env::temp_dir().join(format!("eqsql-persist-bench-{}", std::process::id()))
 }
 
-fn fresh_dir(root: &PathBuf) -> PathBuf {
+fn fresh_dir(root: &Path) -> PathBuf {
     root.join(format!("d{}", DIR_SEQ.fetch_add(1, Ordering::Relaxed)))
 }
 

@@ -84,13 +84,9 @@ pub enum Admission<'a> {
     /// `admit(tgd, cur, hom)` decides (the sound chase's assignment-fixing
     /// filter). The tgd is renamed apart, `hom` maps its premise into
     /// `cur`'s body. Because the verdict may depend on the whole current
-    /// query, rejected dependencies are re-armed after every step.
-    Custom(&'a mut dyn FnMut(&Tgd, &CqQuery, &Subst) -> bool),
-    /// `admit(tgd)` decides from the dependency alone (the key-based /
-    /// UWD filter): evaluated once per dependency, cached, and a rejected
-    /// dependency retires permanently — no per-homomorphism or per-step
-    /// re-checking.
-    QueryIndependent(&'a mut dyn FnMut(&Tgd) -> bool),
+    /// query, rejected dependencies are re-armed after every step. The
+    /// first `Err` stops the search and ends the chase with that error.
+    Custom(&'a mut dyn FnMut(&Tgd, &CqQuery, &Subst) -> Result<bool, ChaseError>),
 }
 
 /// Per-run hooks for [`chase_indexed`]: a run guard and a step probe.
@@ -110,8 +106,9 @@ pub struct EngineOpts {
     pub probe: StepProbe,
 }
 
-/// The per-run scheduler state: which dependencies might act.
-struct Worklist {
+/// The per-run scheduler state: which dependencies might act. Shared by
+/// the query chase and the instance chase ([`crate::instance`]).
+pub(crate) struct Worklist {
     /// `queued[i]`: dependency `i` must be (re-)checked.
     queued: Vec<bool>,
     /// `blocked_on_admit[i]`: last check found applicable homomorphisms
@@ -123,7 +120,7 @@ struct Worklist {
 }
 
 impl Worklist {
-    fn new(sigma: &DependencySet) -> Worklist {
+    pub(crate) fn new(sigma: &DependencySet) -> Worklist {
         let n = sigma.len();
         let mut subscribers: HashMap<Predicate, Vec<usize>> = HashMap::new();
         for (i, dep) in sigma.iter().enumerate() {
@@ -140,17 +137,24 @@ impl Worklist {
 
     /// The lowest queued dependency — the same one the reference driver's
     /// restart-from-σ₀ scan would reach first.
-    fn pop_min(&self) -> Option<usize> {
+    pub(crate) fn pop_min(&self) -> Option<usize> {
         self.queued.iter().position(|&q| q)
     }
 
-    fn retire(&mut self, i: usize, blocked_on_admit: bool) {
+    pub(crate) fn retire(&mut self, i: usize, blocked_on_admit: bool) {
         self.queued[i] = false;
         self.blocked_on_admit[i] = blocked_on_admit;
     }
 
+    /// Keeps dependency `i` queued after it fired: another homomorphism
+    /// of it may still apply although none of its premise predicates
+    /// changed.
+    pub(crate) fn rearm(&mut self, i: usize) {
+        self.queued[i] = true;
+    }
+
     /// Re-arms every dependency whose premise mentions one of `preds`.
-    fn wake_subscribers(&mut self, preds: &[Predicate]) {
+    pub(crate) fn wake_subscribers(&mut self, preds: &[Predicate]) {
         for p in preds {
             if let Some(subs) = self.subscribers.get(p) {
                 for &i in subs {
@@ -312,7 +316,8 @@ fn scan_egd(plans: &DepPlans, arena: &TermArena, frame: &mut ArenaFrame) -> Scan
 
 /// Searches the tgd premise for the first admissible applicable
 /// homomorphism: the conclusion-extension check and the admission
-/// predicate prune the search in flight. Allocation-free on the
+/// predicate prune the search in flight. The predicate's first `Err`
+/// stops the search and is returned. Allocation-free on the
 /// all-satisfied path once the frames are warm.
 fn scan_tgd(
     plans: &DepPlans,
@@ -320,10 +325,10 @@ fn scan_tgd(
     pf: &mut ArenaFrame,
     ef: &mut ArenaFrame,
     dedup_hom_bindings: bool,
-    admit: &mut dyn FnMut(&[TermId]) -> bool,
-) -> Scan {
+    admit: &mut dyn FnMut(&[TermId]) -> Result<bool, ChaseError>,
+) -> Result<Scan, ChaseError> {
     let extension = plans.extension.as_ref().expect("tgd has an extension plan");
-    let mut fire: Option<Box<[TermId]>> = None;
+    let mut fire: Option<Result<Box<[TermId]>, ChaseError>> = None;
     let mut saw_applicable = false;
     // Under lenient dedup policies distinct target choices can yield the
     // same premise bindings; dedup by the dense slot values so the
@@ -343,25 +348,28 @@ fn scan_tgd(
             return true; // conclusion already witnessed
         }
         saw_applicable = true;
-        if admit(slots) {
-            fire = Some(slots.into());
-            false // stop at the first admitted match
-        } else {
-            true
+        match admit(slots) {
+            Ok(false) => true,
+            verdict => {
+                fire = Some(verdict.map(|_| slots.into()));
+                false // stop at the first admitted match or the first error
+            }
         }
     });
-    match fire {
+    Ok(match fire.transpose()? {
         Some(slots) => Scan::TgdFire(slots),
         None => Scan::Idle { saw_applicable },
-    }
+    })
 }
 
 /// Runs the chase with the incremental indexed engine. Its semantics
-/// (firing order, budgets, trace, renaming bookkeeping) match
+/// (firing order, budgets, trace, renaming bookkeeping, and the error of
+/// the first failing admission test) match
 /// [`crate::reference::chase_with_policy_reference`] exactly, up to the
 /// names of chase-minted variables when the query's variables collide
-/// with Σ's; see the module docs for why. `opts` carries a run guard and
-/// a step probe.
+/// with Σ's; see the module docs for why. `admission` is
+/// [`Admission::All`] or a fallible [`Admission::Custom`] predicate;
+/// `opts` carries a run guard and a step probe.
 pub fn chase_indexed(
     q: &CqQuery,
     sigma: &DependencySet,
@@ -393,9 +401,6 @@ pub fn chase_indexed(
     let mut frames: Vec<DepFrames> = deps.iter().map(|_| DepFrames::new()).collect();
     let mut worklist = Worklist::new(sigma);
     let custom_admission = matches!(admission, Admission::Custom(_));
-    // Per-dependency cache for query-independent admission verdicts
-    // (renaming-invariant, so one evaluation per dependency suffices).
-    let mut dep_admitted: Vec<Option<bool>> = vec![None; deps.len()];
     // With a policy that never drops some duplicate atoms, distinct target
     // choices can yield the same premise bindings; see `scan_tgd`.
     let dedup_hom_bindings = !matches!(dedup, DedupPolicy::All);
@@ -431,20 +436,10 @@ pub fn chase_indexed(
             // Worklist drained: no dependency applicable — terminal.
             return terminal!(false);
         };
-        // Query-independent admission is cached per dependency (the
-        // closure is mutable); a rejected dependency retires for good.
-        if let (Admission::QueryIndependent(admit), Dependency::Tgd(t)) = (&mut admission, deps[i])
-        {
-            if !*dep_admitted[i].get_or_insert_with(|| admit(t)) {
-                worklist.retire(i, false);
-                continue;
-            }
-        }
-
         opts.probe.on_scan();
         let DepFrames { premise: pf, ext: ef } = &mut frames[i];
         let scan = match (deps[i], &mut admission) {
-            (Dependency::Egd(_), _) => scan_egd(&plans[i], index.arena(), pf),
+            (Dependency::Egd(_), _) => Ok(scan_egd(&plans[i], index.arena(), pf)),
             // Custom admission: rename the dependency apart from the
             // current query lazily (only this mode needs the renamed
             // namespace) and consult the predicate with the homomorphism
@@ -476,12 +471,12 @@ pub fn chase_indexed(
                     admit(tgd_r, cur, &h_r)
                 })
             }
-            (Dependency::Tgd(_), Admission::All | Admission::QueryIndependent(_)) => {
-                scan_tgd(&plans[i], index.arena(), pf, ef, dedup_hom_bindings, &mut |_| true)
+            (Dependency::Tgd(_), Admission::All) => {
+                scan_tgd(&plans[i], index.arena(), pf, ef, dedup_hom_bindings, &mut |_| Ok(true))
             }
         };
 
-        match scan {
+        match scan? {
             Scan::Idle { saw_applicable } => {
                 worklist.retire(i, saw_applicable);
                 continue;
@@ -544,7 +539,7 @@ pub fn chase_indexed(
                 // The same tgd may be applicable through another
                 // homomorphism whose premise predicates are not among the
                 // added atoms — stay armed.
-                worklist.queued[i] = true;
+                worklist.rearm(i);
             }
         }
         // A step committed: admission verdicts do not carry across steps.
@@ -557,7 +552,7 @@ pub fn chase_indexed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reference::chase_with_policy_reference;
+    use crate::reference::set_chase_reference;
     use eqsql_cq::{are_isomorphic, parse_query};
     use eqsql_deps::parse_dependencies;
 
@@ -578,9 +573,7 @@ mod tests {
         let q = parse_query(q).unwrap();
         let sigma = parse_dependencies(sigma).unwrap();
         let indexed = chase_indexed(&q, &sigma, config, &DedupPolicy::All, Admission::All, opts);
-        let reference =
-            chase_with_policy_reference(&q, &sigma, config, &DedupPolicy::All, &mut |_, _, _| true);
-        (indexed, reference)
+        (indexed, set_chase_reference(&q, &sigma, config))
     }
 
     /// The `(dep_index, body_size)` sequence of a chase's trace.

@@ -29,10 +29,10 @@
 //!
 //! ## Scheduling
 //!
-//! [`chase_database`] uses the same delta-driven worklist as the query
-//! chase engine ([`crate::engine`]): a dependency found satisfied retires
-//! until a step changes one of its **premise** relations. That is sound
-//! here because steps only ever *add* witnesses elsewhere —
+//! [`chase_database`] uses the query chase engine's delta-driven worklist
+//! ([`crate::engine`]): a dependency found satisfied retires until a step
+//! changes one of its **premise** relations. That is sound here because
+//! steps only ever *add* witnesses elsewhere —
 //!
 //! * tgd steps insert tuples and remove nothing, so a satisfied
 //!   dependency's extensions survive;
@@ -47,6 +47,7 @@
 //! same dependency sequence as the naive restart-from-σ₀ scan — kept as
 //! [`chase_database_reference`], the differential oracle.
 
+use crate::engine::Worklist;
 use crate::error::{ChaseConfig, ChaseError};
 use crate::guard::RunGuard;
 use eqsql_cq::{
@@ -425,28 +426,7 @@ pub fn chase_database(
     let mut cur = db.clone();
     let mut next_null = max_label(db);
     let mut steps = 0usize;
-    let n = sigma.len();
-    // Premise predicate → dependencies listening on it.
-    let mut subscribers: HashMap<Predicate, Vec<usize>> = HashMap::new();
-    for (i, dep) in sigma.iter().enumerate() {
-        let mut seen: Vec<Predicate> = Vec::new();
-        for atom in dep.lhs() {
-            if !seen.contains(&atom.pred) {
-                seen.push(atom.pred);
-                subscribers.entry(atom.pred).or_default().push(i);
-            }
-        }
-    }
-    let mut queued = vec![true; n];
-    let wake = |queued: &mut Vec<bool>, preds: &[Predicate]| {
-        for p in preds {
-            if let Some(subs) = subscribers.get(p) {
-                for &i in subs {
-                    queued[i] = true;
-                }
-            }
-        }
-    };
+    let mut worklist = Worklist::new(sigma);
     // Plans compile once per run against the ground view's arena; the
     // view is refilled only after a step actually mutates the database —
     // satisfied checks reuse it.
@@ -459,7 +439,7 @@ pub fn chase_database(
         if steps >= config.max_steps {
             return Err(ChaseError::BudgetExhausted { steps });
         }
-        let Some(i) = queued.iter().position(|&q| q) else {
+        let Some(i) = worklist.pop_min() else {
             return Ok(InstanceChased { db: cur, failed: false, steps });
         };
         match sigma.as_slice()[i] {
@@ -468,25 +448,25 @@ pub fn chase_database(
                     Some(added) => {
                         steps += 1;
                         gv.refill(&cur);
-                        wake(&mut queued, &added);
+                        worklist.wake_subscribers(&added);
                         // Another premise assignment of the same tgd may still
                         // be violated even if nothing it listens on changed.
-                        queued[i] = true;
+                        worklist.rearm(i);
                     }
-                    None => queued[i] = false,
+                    None => worklist.retire(i, false),
                 }
             }
             Dependency::Egd(ref _e) => {
                 match apply_egd_instance(&mut cur, &gv, &plans[i], &mut frames[i]) {
-                    EgdInstanceOutcome::NoViolation => queued[i] = false,
+                    EgdInstanceOutcome::NoViolation => worklist.retire(i, false),
                     EgdInstanceOutcome::Applied(changed) => {
                         steps += 1;
                         gv.refill(&cur);
-                        wake(&mut queued, &changed);
+                        worklist.wake_subscribers(&changed);
                         // The violating premise tuples contained the replaced
                         // value, so `changed` re-arms this egd via its own
                         // subscription; keep it queued explicitly regardless.
-                        queued[i] = true;
+                        worklist.rearm(i);
                     }
                     EgdInstanceOutcome::Failed => {
                         return Ok(InstanceChased { db: cur, failed: true, steps });

@@ -6,19 +6,16 @@
 //! instances. Key-basedness is query-independent and implies that every
 //! chase step using the tgd is assignment-fixing; the converse fails
 //! (Example 4.8 / §5.1), which is why the paper's sound chase uses the
-//! strictly more general assignment-fixing criterion. We keep key-basedness
-//! for comparison and for the ablation benchmarks.
+//! strictly more general assignment-fixing criterion. Only the predicate
+//! is kept, for comparison: the ablation benchmark times it against the
+//! assignment-fixing test, an Appendix-H test of `eqsql_gen` asserts it
+//! of the family's tgds, and the chase explorer reports it per tgd.
 
-use crate::engine::{chase_indexed, Admission, EngineOpts};
-use crate::error::{ChaseConfig, ChaseError};
-use crate::set_chase::Chased;
-use crate::step::DedupPolicy;
-use eqsql_cq::{CqQuery, Predicate, Term};
+use eqsql_cq::Term;
 use eqsql_deps::keys::is_superkey_of;
-use eqsql_deps::regularize::regularize_set;
 use eqsql_deps::{DependencySet, Tgd};
 use eqsql_relalg::Schema;
-use std::collections::{BTreeSet, HashSet};
+use std::collections::BTreeSet;
 
 /// Do all conclusion atoms of `tgd` have their universal positions forming
 /// a superkey (under the fd-shaped egds of Σ)? This is Definition 5.1
@@ -44,33 +41,6 @@ pub fn has_key_based_shape(tgd: &Tgd, sigma: &DependencySet) -> bool {
 /// conclusion relation set-valued on all instances of the schema?
 pub fn is_key_based(tgd: &Tgd, sigma: &DependencySet, schema: &Schema) -> bool {
     tgd.rhs.iter().all(|a| schema.is_set_valued(a.pred)) && has_key_based_shape(tgd, sigma)
-}
-
-/// The key-based (UWD) chase: a thin entry point over the incremental
-/// engine admitting only key-based tgd steps — Deutsch's query-independent
-/// ablation of the paper's sound bag chase. Strictly fewer steps fire than
-/// under assignment-fixing admission (Example 4.8), which is the point of
-/// keeping it: the ablation benchmarks measure exactly that gap.
-///
-/// Key-basedness is a property of the dependency alone, so the filter runs
-/// as [`Admission::QueryIndependent`]: one cached verdict per dependency,
-/// and rejected tgds retire from the worklist permanently.
-pub fn key_based_chase(
-    q: &CqQuery,
-    sigma: &DependencySet,
-    schema: &Schema,
-    config: &ChaseConfig,
-) -> Result<Chased, ChaseError> {
-    let sigma_reg = regularize_set(sigma);
-    let set_preds: HashSet<Predicate> = schema.set_valued_relations().into_iter().collect();
-    chase_indexed(
-        q,
-        &sigma_reg,
-        config,
-        &DedupPolicy::SetValuedOnly(set_preds),
-        Admission::QueryIndependent(&mut |tgd| is_key_based(tgd, &sigma_reg, schema)),
-        &EngineOpts::default(),
-    )
 }
 
 #[cfg(test)]
@@ -139,41 +109,6 @@ mod tests {
         schema.mark_set_valued(eqsql_cq::Predicate::new("p"));
         let t = first_tgd(&sigma);
         assert!(is_key_based(&t, &sigma, &schema));
-    }
-
-    #[test]
-    fn key_based_chase_is_strictly_weaker_on_example_4_8() {
-        // ν1 is assignment-fixing but not key-based: the key-based chase
-        // leaves Q untouched where the sound bag chase fires (Example 4.8).
-        use eqsql_cq::{are_isomorphic, parse_query};
-        let sigma = parse_dependencies(
-            "p(X,Y) -> s(X,Z) & t(Z,Y).\n\
-             t(X,Y) & t(Z,Y) -> X = Z.",
-        )
-        .unwrap();
-        let mut schema = Schema::all_bags(&[("p", 2), ("s", 2), ("t", 2)]);
-        schema.mark_set_valued(eqsql_cq::Predicate::new("s"));
-        schema.mark_set_valued(eqsql_cq::Predicate::new("t"));
-        let q = parse_query("q(X) :- p(X,Y), s(X,Z)").unwrap();
-        let r = key_based_chase(&q, &sigma, &schema, &crate::ChaseConfig::default()).unwrap();
-        assert!(are_isomorphic(&r.query, &q), "got {}", r.query);
-        assert_eq!(r.steps, 0);
-    }
-
-    #[test]
-    fn key_based_chase_fires_key_based_steps() {
-        use eqsql_cq::parse_query;
-        let sigma = parse_dependencies(
-            "p(X,Y) -> t(X,Y,W).\n\
-             t(X,Y,W1) & t(X,Y,W2) -> W1 = W2.",
-        )
-        .unwrap();
-        let mut schema = Schema::all_bags(&[("p", 2), ("t", 3)]);
-        schema.mark_set_valued(eqsql_cq::Predicate::new("t"));
-        let q = parse_query("q(X) :- p(X,Y)").unwrap();
-        let r = key_based_chase(&q, &sigma, &schema, &crate::ChaseConfig::default()).unwrap();
-        assert_eq!(r.query.body.len(), 2);
-        assert_eq!(r.steps, 1);
     }
 
     #[test]

@@ -12,8 +12,9 @@
 //!   query-dependent criterion for when a tgd chase step preserves answer
 //!   multiplicities;
 //! * **key-based tgds** (Definition 5.1, the UWDs of Deutsch \[9\]) — the
-//!   strictly weaker, query-independent criterion, kept for comparison and
-//!   for the ablation benchmarks;
+//!   strictly weaker, query-independent criterion, kept as a predicate for
+//!   comparison (the ablation benchmark times it against the
+//!   assignment-fixing test);
 //! * **sound chase** under bag and bag-set semantics (Theorems 4.1 and
 //!   4.3), with result normalization per the uniqueness theorems (5.1 /
 //!   G.1);
@@ -32,13 +33,14 @@
 //! [`eqsql_cq::ArenaPlan`]s searched first-match over a reusable
 //! [`eqsql_cq::ArenaFrame`] with the conclusion-extension check seeded
 //! in, and delta-driven (semi-naive) dependency scheduling. Its one entry
-//! point, [`chase_indexed`], takes a dedup policy, an [`Admission`] mode
-//! and [`EngineOpts`] (a run guard and a step probe, neither of which
-//! changes a result). [`set_chase()`], [`sound_chase_prepared_opts`] and
-//! [`key_based_chase`] are thin wrappers over it. Every chase records a
-//! [`ChaseTrace`]: typed step records (dependency index, body size, the
-//! fired binding's terms) rendered to text only on demand. The original
-//! naive restart-scan driver survives as [`mod@reference`] — the
+//! point, [`chase_indexed`], takes a dedup policy, an [`Admission`]
+//! contract (every step, or a fallible predicate whose first error ends
+//! the chase) and [`EngineOpts`] (a run guard and a step probe, neither of
+//! which changes a result). [`set_chase()`] and
+//! [`sound_chase_prepared_opts`] are thin wrappers over it. Every chase
+//! records a [`ChaseTrace`]: typed step records (dependency index, body
+//! size, the fired binding's terms) rendered to text only on demand. The
+//! original naive restart-scan driver survives as [`mod@reference`] — the
 //! differential-testing oracle (`tests/tests/engine_differential.rs`)
 //! that pins the engine to the paper's step semantics, with the
 //! underlying naive homomorphism search preserved as
@@ -71,7 +73,7 @@ pub use guard::{Cancel, Fault, FaultPlan, RunGuard};
 pub use implication::{implies, minimal_cover};
 pub use index::BodyIndex;
 pub use instance::{chase_database, chase_database_reference, InstanceChased};
-pub use key_based::{is_key_based, key_based_chase};
+pub use key_based::is_key_based;
 pub use max_subset::{max_bag_set_sigma_subset, max_bag_sigma_subset};
 pub use reference::{chase_with_policy_reference, set_chase_reference};
 pub use set_chase::{set_chase, Chased};

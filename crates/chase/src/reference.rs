@@ -27,18 +27,19 @@ pub fn set_chase_reference(
     sigma: &DependencySet,
     config: &ChaseConfig,
 ) -> Result<Chased, ChaseError> {
-    chase_with_policy_reference(q, sigma, config, &DedupPolicy::All, &mut |_, _, _| true)
+    chase_with_policy_reference(q, sigma, config, &DedupPolicy::All, &mut |_, _, _| Ok(true))
 }
 
 /// [`crate::engine::chase_indexed`] with [`crate::Admission::Custom`] on
 /// the naive driver: full Σ rescan per step, homomorphism sets
-/// materialized up front.
+/// materialized up front. The predicate's first `Err` ends the chase with
+/// that error, as in the engine.
 pub fn chase_with_policy_reference(
     q: &CqQuery,
     sigma: &DependencySet,
     config: &ChaseConfig,
     dedup: &DedupPolicy,
-    admit: &mut dyn FnMut(&eqsql_deps::Tgd, &CqQuery, &Subst) -> bool,
+    admit: &mut dyn FnMut(&eqsql_deps::Tgd, &CqQuery, &Subst) -> Result<bool, ChaseError>,
 ) -> Result<Chased, ChaseError> {
     let mut cur = dedup.apply(q);
     let mut supply = VarSupply::avoiding([q]);
@@ -78,7 +79,7 @@ pub fn chase_with_policy_reference(
                 },
                 Dependency::Tgd(t) => {
                     for h in applicable_tgd_homs(&cur, t) {
-                        if !admit(t, &cur, &h) {
+                        if !admit(t, &cur, &h)? {
                             continue;
                         }
                         let (next, step) = apply_tgd_step(&cur, t, &h, &mut supply);

@@ -20,11 +20,10 @@ use crate::engine::{chase_indexed, Admission, EngineOpts};
 use crate::error::{ChaseConfig, ChaseError};
 use crate::set_chase::Chased;
 use crate::step::DedupPolicy;
-use eqsql_cq::{CqQuery, Predicate};
+use eqsql_cq::{CqQuery, Subst};
 use eqsql_deps::regularize::regularize_set;
-use eqsql_deps::DependencySet;
+use eqsql_deps::{DependencySet, Tgd};
 use eqsql_relalg::{Schema, Semantics};
-use std::collections::HashSet;
 
 /// The result of a sound chase.
 #[derive(Clone, Debug)]
@@ -118,60 +117,28 @@ pub fn sound_chase_prepared_opts(
         Semantics::Set => {
             chase_indexed(q, &sigma_reg, config, &DedupPolicy::All, Admission::All, opts)?
         }
-        Semantics::BagSet => {
-            let mut af_err: Option<ChaseError> = None;
-            let res = chase_indexed(
-                q,
-                &sigma_reg,
-                config,
-                &DedupPolicy::All,
-                Admission::Custom(&mut |tgd, cur, h| match is_assignment_fixing(
-                    cur,
-                    &sigma_reg,
-                    tgd,
-                    h,
-                    config,
-                    &opts.guard,
-                ) {
-                    Ok(b) => b,
-                    Err(e) => {
-                        af_err = Some(e);
-                        false
-                    }
-                }),
-                opts,
-            );
-            if let Some(e) = af_err {
-                return Err(e);
-            }
-            res?
-        }
-        Semantics::Bag => {
-            let set_preds: HashSet<Predicate> = schema.set_valued_relations().into_iter().collect();
-            let mut af_err: Option<ChaseError> = None;
-            let res = chase_indexed(
-                q,
-                &sigma_reg,
-                config,
-                &DedupPolicy::SetValuedOnly(set_preds.clone()),
-                Admission::Custom(&mut |tgd, cur, h| {
-                    if !tgd.rhs.iter().all(|a| set_preds.contains(&a.pred)) {
-                        return false; // Theorem 4.1(1): added subgoals must be set-valued
-                    }
-                    match is_assignment_fixing(cur, &sigma_reg, tgd, h, config, &opts.guard) {
-                        Ok(b) => b,
-                        Err(e) => {
-                            af_err = Some(e);
-                            false
-                        }
-                    }
-                }),
-                opts,
-            );
-            if let Some(e) = af_err {
-                return Err(e);
-            }
-            res?
+        Semantics::Bag | Semantics::BagSet => {
+            // Duplicates drop over set-valued relations only under bag
+            // semantics (Theorem 4.1(2)), everywhere under bag-set
+            // semantics (Theorem 4.3(2)).
+            let dedup = if sem == Semantics::Bag {
+                DedupPolicy::SetValuedOnly(schema.set_valued_relations().into_iter().collect())
+            } else {
+                DedupPolicy::All
+            };
+            let set_valued = match &dedup {
+                DedupPolicy::SetValuedOnly(preds) => Some(preds),
+                _ => None,
+            };
+            let mut admit = |tgd: &Tgd, cur: &CqQuery, h: &Subst| {
+                // Theorem 4.1(1): under bag semantics every added subgoal
+                // must be set-valued.
+                if set_valued.is_some_and(|s| !tgd.rhs.iter().all(|a| s.contains(&a.pred))) {
+                    return Ok(false);
+                }
+                is_assignment_fixing(cur, &sigma_reg, tgd, h, config, &opts.guard)
+            };
+            chase_indexed(q, &sigma_reg, config, &dedup, Admission::Custom(&mut admit), opts)?
         }
     };
     Ok(SoundChased {
@@ -186,7 +153,8 @@ pub fn sound_chase_prepared_opts(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eqsql_cq::{are_isomorphic, parse_query};
+    use crate::guard::RunGuard;
+    use eqsql_cq::{are_isomorphic, parse_query, Predicate};
     use eqsql_deps::parse_dependencies;
 
     fn cfg() -> ChaseConfig {
@@ -344,5 +312,33 @@ mod tests {
         let reversed = DependencySet::from_vec(deps);
         let alt = sound_chase(Semantics::Bag, &q4, &reversed, &schema_4_1(), &cfg()).unwrap().query;
         assert!(are_isomorphic(&baseline, &alt), "{baseline} vs {alt}");
+    }
+
+    /// The first failing assignment-fixing test ends the sound chase with
+    /// its error. Every test here chases the non-terminating
+    /// `r(X,Y) -> r(Y,W)` into the 50-step budget, so however many `p`
+    /// atoms offer a test, the guard sees one budget-sized nested chase
+    /// and a few outer polls.
+    #[test]
+    fn first_failing_admission_test_ends_the_chase() {
+        let sigma = parse_dependencies("p(X) -> r(X,Z). r(X,Y) -> r(Y,W).").unwrap();
+        let sigma = std::sync::Arc::new(regularize_set(&sigma));
+        let schema = Schema::all_bags(&[("p", 1), ("r", 2)]);
+        let config = ChaseConfig::with_max_steps(50);
+        for q in ["q(X) :- p(X)", "q(X) :- p(X), p(Y)", "q(X) :- p(X), p(Y), p(Z)"] {
+            let guard = RunGuard::with_deadline_ms(3_600_000);
+            let opts = EngineOpts { guard: guard.clone(), ..EngineOpts::default() };
+            let q = parse_query(q).unwrap();
+            let r = sound_chase_prepared_opts(
+                Semantics::BagSet,
+                &q,
+                std::sync::Arc::clone(&sigma),
+                &schema,
+                &config,
+                &opts,
+            );
+            assert_eq!(r.unwrap_err(), ChaseError::BudgetExhausted { steps: 50 }, "{q}");
+            assert!(guard.polls() <= 55, "{q}: {} guard polls", guard.polls());
+        }
     }
 }

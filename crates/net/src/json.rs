@@ -222,8 +222,7 @@ mod tests {
 
     #[test]
     fn stats_encode_as_valid_json() {
-        let mut s = SolverStats::default();
-        s.requests = 13;
+        let mut s = SolverStats { requests: 13, ..SolverStats::default() };
         s.cache.shard_entries = vec![0, 3, 1];
         s.latency.p99 = 4096;
         let r = ServerReport { peak_in_flight: 3, peak_deciders: 2, ..ServerReport::default() };

@@ -33,20 +33,9 @@ pub fn split_id(line: &[u8]) -> (Option<u64>, &[u8]) {
     };
     let id = std::str::from_utf8(num).ok().and_then(|s| s.parse().ok());
     match id {
-        Some(id) => (Some(id), trim_ascii_start(tail)),
+        Some(id) => (Some(id), tail.trim_ascii_start()),
         None => (None, line), // overflowed u64: let the parser complain
     }
-}
-
-fn trim_ascii_start(mut b: &[u8]) -> &[u8] {
-    while let [first, rest @ ..] = b {
-        if first.is_ascii_whitespace() {
-            b = rest;
-        } else {
-            break;
-        }
-    }
-    b
 }
 
 /// Recognizes a control verb (the payload after any `id=` tag).

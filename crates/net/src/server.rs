@@ -562,7 +562,7 @@ enum Flow {
 }
 
 fn handle_line(line: &[u8], shared: &Shared, conn: &Arc<Conn>, seq: &mut u64) -> Flow {
-    let line = trim_ascii(line);
+    let line = line.trim_ascii();
     if line.is_empty() || line.first() == Some(&b'#') {
         return Flow::Continue;
     }
@@ -591,22 +591,4 @@ fn handle_line(line: &[u8], shared: &Shared, conn: &Arc<Conn>, seq: &mut u64) ->
         Err(e) => shared.answer(conn, &RequestRecord::unparsed(id, Error::from(e))),
     }
     Flow::Continue
-}
-
-fn trim_ascii(mut b: &[u8]) -> &[u8] {
-    while let [first, rest @ ..] = b {
-        if first.is_ascii_whitespace() {
-            b = rest;
-        } else {
-            break;
-        }
-    }
-    while let [rest @ .., last] = b {
-        if last.is_ascii_whitespace() {
-            b = rest;
-        } else {
-            break;
-        }
-    }
-    b
 }

@@ -135,7 +135,7 @@ impl Histogram {
         let count = self.count.load(Ordering::Relaxed);
         HistogramSummary {
             count,
-            mean: if count == 0 { 0 } else { self.sum.load(Ordering::Relaxed) / count },
+            mean: self.sum.load(Ordering::Relaxed).checked_div(count).unwrap_or(0),
             p50: self.quantile(0.50),
             p90: self.quantile(0.90),
             p99: self.quantile(0.99),

@@ -102,6 +102,13 @@ pub(crate) struct StoredChase {
     pub(crate) sigma_regularized: Arc<DependencySet>,
 }
 
+/// A cached chase outcome: the stored terminal result or the terminal
+/// error.
+pub(crate) type StoredOutcome = Result<Arc<StoredChase>, ChaseError>;
+
+/// A regularized Σ and its rendered text.
+type Regularized = (Arc<DependencySet>, Arc<str>);
+
 #[derive(Clone, Debug)]
 struct Entry {
     /// Exact context key (fingerprint plus the material it hashes):
@@ -114,7 +121,7 @@ struct Entry {
     /// Terminal result or terminal error — both are cache-worthy. The
     /// result sits behind an `Arc` so a hit clones a pointer inside the
     /// shard lock, not an exponential-size terminal query.
-    outcome: Result<Arc<StoredChase>, ChaseError>,
+    outcome: StoredOutcome,
     /// Insertion id, for FIFO eviction.
     id: u64,
 }
@@ -179,7 +186,7 @@ pub struct ChaseCache {
     /// Rendered Σ → (regularized Σ, its rendered text), so repeated
     /// chases over one Σ regularize and render it once. Keyed exactly (by
     /// text) and bounded by [`SIGMA_MEMO_CAP`].
-    regularize_memo: Mutex<HashMap<String, (Arc<DependencySet>, Arc<str>)>>,
+    regularize_memo: Mutex<HashMap<String, Regularized>>,
     /// The disk tier, when [`CacheConfig::persist`] is set. Memory misses
     /// fall through to it; fresh terminal results are appended to it.
     persist: Option<PersistTier>,
@@ -256,10 +263,7 @@ impl ChaseCache {
     /// text (the expensive half of building a [`ChaseContext`]), both
     /// memoized, so the stateless [`SoundChaser`] path pays one render per
     /// distinct Σ rather than two per chase.
-    pub(crate) fn regularized_with_text(
-        &self,
-        sigma: &DependencySet,
-    ) -> (Arc<DependencySet>, Arc<str>) {
+    pub(crate) fn regularized_with_text(&self, sigma: &DependencySet) -> Regularized {
         let text = sigma.to_string();
         let mut memo = lock_recovering(&self.regularize_memo);
         if memo.len() >= SIGMA_MEMO_CAP && !memo.contains_key(&text) {
@@ -284,7 +288,7 @@ impl ChaseCache {
         key: u64,
         ctx: &ChaseContext,
         q: &CqQuery,
-    ) -> Option<(Result<Arc<StoredChase>, ChaseError>, HashMap<Var, Var>)> {
+    ) -> Option<(StoredOutcome, HashMap<Var, Var>)> {
         let shard = lock_recovering(self.shard_of(key));
         let bucket = shard.buckets.get(&key)?;
         for entry in bucket {
@@ -298,13 +302,7 @@ impl ChaseCache {
         None
     }
 
-    fn insert(
-        &self,
-        key: u64,
-        ctx: ChaseContext,
-        q: &CqQuery,
-        outcome: Result<Arc<StoredChase>, ChaseError>,
-    ) {
+    fn insert(&self, key: u64, ctx: ChaseContext, q: &CqQuery, outcome: StoredOutcome) {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let mut shard = lock_recovering(self.shard_of(key));
         let bucket = shard.buckets.entry(key).or_default();

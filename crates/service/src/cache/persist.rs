@@ -121,7 +121,7 @@
 //! neither take nor respect the lock; they never write, so they are safe
 //! alongside any writer.
 
-use super::{lock_recovering, StoredChase};
+use super::{lock_recovering, StoredChase, StoredOutcome};
 use crate::canon::{cache_key, query_fingerprint, ChaseContext};
 use eqsql_chase::ChaseError;
 use eqsql_cq::{find_isomorphism, Atom, CqQuery, Subst, Term, Value, Var, R64};
@@ -864,7 +864,7 @@ pub(crate) struct DiskHit {
     /// promoted entry's outcome stays expressed over its own variables.
     pub(crate) representative: CqQuery,
     /// The decoded outcome, rebuilt into the in-memory stored shape.
-    pub(crate) outcome: Result<Arc<StoredChase>, ChaseError>,
+    pub(crate) outcome: StoredOutcome,
     /// The probe→representative bijection that confirmed the hit.
     pub(crate) map: HashMap<Var, Var>,
 }
@@ -1033,8 +1033,12 @@ impl PersistTier {
                 state.log_len = scan.valid_end;
             }
         } else {
-            let mut file =
-                OpenOptions::new().read(true).write(true).create(true).open(&log_path)?;
+            let mut file = OpenOptions::new()
+                .read(true)
+                .write(true)
+                .create(true)
+                .truncate(false)
+                .open(&log_path)?;
             let mut bytes = Vec::new();
             file.read_to_end(&mut bytes)?;
             if bytes.is_empty() {

@@ -137,23 +137,26 @@ fn parse_opts(s: &str, line: usize) -> Result<RequestOpts, RequestParseError> {
     Ok(opts)
 }
 
+fn note_arity(
+    pred: Predicate,
+    arity: usize,
+    arities: &mut BTreeMap<Predicate, usize>,
+    line: usize,
+) -> Result<(), RequestParseError> {
+    match arities.insert(pred, arity) {
+        Some(prev) if prev != arity => {
+            Err(err(line, format!("relation {pred} used with arities {prev} and {arity}")))
+        }
+        _ => Ok(()),
+    }
+}
+
 fn note_atoms<'a>(
     atoms: impl IntoIterator<Item = &'a Atom>,
     arities: &mut BTreeMap<Predicate, usize>,
     line: usize,
 ) -> Result<(), RequestParseError> {
-    for a in atoms {
-        match arities.insert(a.pred, a.arity()) {
-            Some(prev) if prev != a.arity() => {
-                return Err(err(
-                    line,
-                    format!("relation {} used with arities {} and {}", a.pred, prev, a.arity()),
-                ));
-            }
-            _ => {}
-        }
-    }
-    Ok(())
+    atoms.into_iter().try_for_each(|a| note_arity(a.pred, a.arity(), arities, line))
 }
 
 fn note_dep(
@@ -325,6 +328,31 @@ pub fn parse_request_line(line: &str, schema: &Schema) -> Result<Request, Reques
     match out.len() {
         1 => Ok(out.pop().expect("length checked")),
         n => Err(err(0, format!("implies line carries {n} dependencies; send one per line"))),
+    }
+}
+
+/// Checks a programmatically built request against `schema`, as
+/// [`parse_request_line`] checks a wire line: a relation the schema
+/// declares must appear at its declared arity, and no relation may appear
+/// at two arities (a [`Request::ChaseInstance`] database's relations
+/// count as uses). Unlike a wire line, a request may use relations the
+/// schema does not declare.
+pub(crate) fn check_arities(request: &Request, schema: &Schema) -> Result<(), RequestParseError> {
+    let mut arities: BTreeMap<Predicate, usize> =
+        schema.iter().map(|r| (r.name, r.arity)).collect();
+    match request {
+        Request::Equivalent { q1, q2, .. }
+        | Request::Contained { q1, q2, .. }
+        | Request::BagContained { q1, q2, .. } => {
+            note_atoms(q1.body.iter().chain(&q2.body), &mut arities, 0)
+        }
+        Request::Minimal { q, .. } | Request::Reformulate { q, .. } => {
+            note_atoms(&q.body, &mut arities, 0)
+        }
+        Request::Implies { dep, .. } => note_dep(dep, &mut arities, 0),
+        Request::ChaseInstance { db, .. } => {
+            db.iter().try_for_each(|(p, r)| note_arity(p, r.arity(), &mut arities, 0))
+        }
     }
 }
 

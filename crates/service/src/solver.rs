@@ -53,6 +53,7 @@ use crate::evidence::{
     ImplicationCounterexample,
 };
 use crate::record::RequestRecord;
+use crate::request::check_arities;
 use eqsql_chase::instance::chase_database;
 use eqsql_chase::{Cancel, ChaseConfig, ChaseError, EngineOpts, FaultPlan, RunGuard, SoundChased};
 use eqsql_core::bag_containment::{find_non_containment_witness, onto_containment_mapping};
@@ -1276,6 +1277,9 @@ impl Solver {
     }
 
     fn answer(&self, request: &Request, chaser: &SolverChaser<'_>) -> Result<Answer, Error> {
+        // A relation at the wrong arity would trip an arity assertion deep
+        // inside a chase; answer it as the wire parser answers such a line.
+        check_arities(request, &self.schema)?;
         let config = chaser.config;
         match request {
             Request::Equivalent { q1, q2, opts } => {
@@ -2054,18 +2058,20 @@ mod tests {
     /// A decision that panics is isolated to an [`Error::Internal`] whose
     /// record is one line, for the wire and for the trace sink alike,
     /// although the panic message (an `assert_eq!` report) spans several.
-    /// The request is malformed on purpose: its binary `a` atom against
-    /// the schema's `a/1` trips the bag relation's arity assertion.
+    /// The request is malformed on purpose: its binary `b` atom against
+    /// Σ's unary `b`, a relation the schema does not declare, trips the
+    /// bag relation's arity assertion when the counterexample search
+    /// builds a database holding both.
     #[test]
     fn a_panicking_decision_renders_one_line() {
         let sigma = parse_dependencies("a(X) -> b(X).").unwrap();
-        let schema = Schema::all_bags(&[("a", 1), ("b", 1)]);
+        let schema = Schema::all_bags(&[("a", 1)]);
         let sink = Arc::new(eqsql_obs::VecSink::new());
         let s = Solver::builder(sigma, schema)
             .trace_sink(Arc::clone(&sink) as Arc<dyn TraceSink>)
             .build();
         let req = Request::Equivalent {
-            q1: q("q(X) :- a(X), a(X,Y)"),
+            q1: q("q(X) :- a(X), b(X,Y)"),
             q2: q("q(X) :- a(X)"),
             opts: RequestOpts::with_sem(Semantics::Bag),
         };
@@ -2082,5 +2088,36 @@ mod tests {
         assert!(line.ends_with(&format!(" msg=internal error: {flat}")), "{line}");
         assert_eq!(sink.lines(), vec![line]);
         assert_eq!(s.stats().panics, 1);
+    }
+
+    /// A request whose atoms disagree with the schema's arities gets the
+    /// wire parser's typed error before any chase, from [`Solver::decide`]
+    /// and [`Solver::decide_request`] alike; so does one relation at two
+    /// arities, declared or not.
+    #[test]
+    fn a_wrong_arity_request_is_a_parse_error() {
+        let sigma = parse_dependencies("a(X) -> b(X).").unwrap();
+        let schema = Schema::all_bags(&[("a", 1), ("b", 1)]);
+        let s = Solver::builder(sigma, schema).build();
+        let req = Request::Equivalent {
+            q1: q("q(X) :- a(X), a(X,Y)"),
+            q2: q("q(X) :- a(X)"),
+            opts: RequestOpts::with_sem(Semantics::Bag),
+        };
+        let Err(Error::Parse { line: 0, message }) = s.decide(&req) else {
+            panic!("expected a parse error, got {:?}", s.decide(&req))
+        };
+        assert_eq!(message, "relation a used with arities 1 and 2");
+        let line = s.decide_request(&req, &BatchOptions::default(), Instant::now(), 3).render();
+        assert!(line.starts_with("verdict id=3 verb=equivalent outcome=parse-error "), "{line}");
+        assert!(line.contains(" terminal=error "), "{line}");
+        let req = Request::Minimal { q: q("q(X) :- c(X), c(X,Y)"), opts: RequestOpts::default() };
+        assert!(matches!(s.decide(&req), Err(Error::Parse { .. })));
+        // A database relation counts as a use: a binary `b` would take
+        // the repair's unary `b` tuple.
+        let db = Database::new().with_ints("a", &[[1]]).with_ints("b", &[[1, 2]]);
+        let req = Request::ChaseInstance { db, opts: RequestOpts::default() };
+        assert!(matches!(s.decide(&req), Err(Error::Parse { .. })));
+        assert_eq!(s.stats().panics, 0);
     }
 }

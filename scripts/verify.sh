@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # The repo's verify path: tier-1 (build + tests) plus compile checks for
-# everything tier-1 does not reach — every target with warnings denied,
-# benches (so they cannot silently rot), the examples/experiments
-# binaries, the end-to-end benchmark harness, and rustdoc with warnings
-# denied (so the Solver facade's public API stays documented).
+# everything tier-1 does not reach — every target with warnings and clippy
+# lints denied, benches (so they cannot silently rot), the
+# examples/experiments binaries, the end-to-end benchmark harness, and
+# rustdoc with warnings denied (so the Solver facade's public API stays
+# documented).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -14,6 +15,11 @@ cargo fmt --check
 # an import unused fails here rather than rotting behind a warning.
 echo "== warnings denied on every target (cargo check --workspace --all-targets)"
 RUSTFLAGS="-D warnings" cargo check -q --workspace --all-targets
+
+# Lints, warnings denied, on the same targets: a new clippy warning fails
+# here rather than piling up unchecked.
+echo "== clippy clean (cargo clippy --workspace --all-targets, warnings denied)"
+cargo clippy -q --workspace --all-targets -- -D warnings
 
 echo "== tier-1: cargo build --release"
 cargo build --release -q

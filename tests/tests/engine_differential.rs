@@ -10,8 +10,9 @@
 //! chases too), identical `failed` flags, and identical `ChaseError`
 //! variants on budget exhaustion. Families covered:
 //! the Appendix H exponential lower-bound instances, chain queries,
-//! egd-failure inputs, budget-exhaustion inputs, and randomized weakly
-//! acyclic Σ / random queries from `eqsql_gen`.
+//! egd-failure inputs, budget-exhaustion inputs, admission tests that
+//! fail, and randomized weakly acyclic Σ / random queries from
+//! `eqsql_gen`.
 
 use eqsql_chase::reference::{chase_with_policy_reference, set_chase_reference};
 use eqsql_chase::step::DedupPolicy;
@@ -107,9 +108,7 @@ fn sound_chase_reference(
             &sigma_reg,
             cfg,
             &DedupPolicy::All,
-            &mut |tgd, cur, h| {
-                is_assignment_fixing(cur, &sigma_reg, tgd, h, cfg, &guard).unwrap_or(false)
-            },
+            &mut |tgd, cur, h| is_assignment_fixing(cur, &sigma_reg, tgd, h, cfg, &guard),
         ),
         Semantics::Bag => {
             let set_preds: std::collections::HashSet<Predicate> =
@@ -120,9 +119,8 @@ fn sound_chase_reference(
                 cfg,
                 &DedupPolicy::SetValuedOnly(set_preds.clone()),
                 &mut |tgd, cur, h| {
-                    tgd.rhs.iter().all(|a| set_preds.contains(&a.pred))
-                        && is_assignment_fixing(cur, &sigma_reg, tgd, h, cfg, &guard)
-                            .unwrap_or(false)
+                    Ok(tgd.rhs.iter().all(|a| set_preds.contains(&a.pred))
+                        && is_assignment_fixing(cur, &sigma_reg, tgd, h, cfg, &guard)?)
                 },
             )
         }
@@ -245,6 +243,24 @@ fn example_4_1_all_semantics_agree() {
     }
 }
 
+/// An admission test that errors ends both drivers' sound chases with the
+/// same error: each nested test-query chase here runs the non-terminating
+/// `r(X,Y) -> r(Y,W)` into the budget.
+#[test]
+fn failing_admission_tests_agree() {
+    let sigma = parse_dependencies("p(X) -> r(X,Z). r(X,Y) -> r(Y,W).").unwrap();
+    let mut schema = Schema::all_bags(&[("p", 1), ("r", 2)]);
+    schema.mark_set_valued(Predicate::new("r"));
+    let q = parse_query("q(X) :- p(X), p(Y), p(Z)").unwrap();
+    let cfg = ChaseConfig::with_max_steps(50);
+    for sem in [Semantics::Bag, Semantics::BagSet] {
+        let indexed = sound_chase(sem, &q, &sigma, &schema, &cfg).map(|s| s.chased);
+        let reference = sound_chase_reference(sem, &q, &sigma, &schema, &cfg);
+        assert_eq!(indexed.as_ref().unwrap_err(), &ChaseError::BudgetExhausted { steps: 50 });
+        assert_agree(&format!("failing admission {sem}"), &indexed, &reference);
+    }
+}
+
 #[test]
 fn random_weakly_acyclic_families_agree() {
     // eqsql_gen's layered generator guarantees termination; sweep seeds
@@ -296,7 +312,7 @@ fn random_dedup_policies_agree() {
             let indexed =
                 chase_indexed(&q, &sigma, &cfg, &dedup, Admission::All, &EngineOpts::default());
             let reference =
-                chase_with_policy_reference(&q, &sigma, &cfg, &dedup, &mut |_, _, _| true);
+                chase_with_policy_reference(&q, &sigma, &cfg, &dedup, &mut |_, _, _| Ok(true));
             assert_agree(&format!("dedup seed {seed}"), &indexed, &reference);
         }
     }

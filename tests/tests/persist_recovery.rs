@@ -82,8 +82,7 @@ fn cache_config(persist: PersistConfig) -> CacheConfig {
 }
 
 fn solver_with(sigma: &DependencySet, schema: &Schema, persist: Option<PersistConfig>) -> Solver {
-    let mut config = CacheConfig::default();
-    config.persist = persist;
+    let config = CacheConfig { persist, ..CacheConfig::default() };
     Solver::builder(sigma.clone(), schema.clone()).cache_config(config).build()
 }
 

@@ -255,7 +255,7 @@ fn solver_eviction_accounting(persist: Option<eqsql_service::PersistConfig>) {
     let sigma = parse_dependencies("a(X) -> b(X).").unwrap();
     let schema = Schema::all_bags(&[("a", 1), ("b", 1), ("c", 1)]);
     let solver = Solver::builder(sigma, schema)
-        .cache_config(CacheConfig { shards: 1, capacity: 1, persist, ..CacheConfig::default() })
+        .cache_config(CacheConfig { shards: 1, capacity: 1, persist })
         .build();
     // Four structurally distinct queries → four entries demanded of a
     // capacity-1 shard: 3 evictions, 1 resident.
