@@ -70,8 +70,8 @@ use crate::set_chase::Chased;
 use crate::step::{classify_egd_images, rename_dep_apart_mapped, DedupPolicy};
 use crate::trace::ChaseTrace;
 use eqsql_cq::{
-    ArenaFrame, ArenaPlan, CqQuery, EqOp, Predicate, SeedMap, Subst, Term, TermArena, TermId, Var,
-    VarSupply,
+    ArenaFrame, ArenaPlan, Atom, CqQuery, EqOp, Predicate, SeedMap, Subst, Term, TermArena, TermId,
+    Var, VarSupply,
 };
 use eqsql_deps::{Dependency, DependencySet, Tgd};
 use eqsql_obs::StepProbe;
@@ -192,8 +192,9 @@ enum ConOp {
 /// A dependency's compiled, run-long search machinery. Plans are built on
 /// the dependency's *original* variables (dense slots make them
 /// renaming-invariant) against the run's arena, so one compilation serves
-/// every step and searches never touch a boxed value.
-struct DepPlans {
+/// every step and searches never touch a boxed value. The instance chase
+/// ([`crate::instance`]) compiles the same plans against its database.
+pub(crate) struct DepPlans {
     /// Premise conjunction, original atom order — emission order equals
     /// the reference backtracker's, so "first admissible" agrees.
     premise: ArenaPlan,
@@ -213,14 +214,16 @@ struct DepPlans {
 }
 
 impl DepPlans {
-    fn compile(dep: &Dependency, arena: &mut TermArena) -> DepPlans {
+    pub(crate) fn compile(dep: &Dependency, arena: &mut TermArena) -> DepPlans {
         let premise = ArenaPlan::new(dep.lhs(), arena);
         match dep {
             Dependency::Tgd(t) => {
-                let universal: Vec<Var> = t.universal_vars().into_iter().collect();
+                // Duplicates are harmless: the plan order only tests
+                // membership. No hash sets for a handful of variables.
+                let universal: Vec<Var> = t.lhs.iter().flat_map(Atom::vars).collect();
                 let extension = ArenaPlan::optimized_with_stats(&t.rhs, &universal, arena);
                 let ext_seed = extension.seed_map_from(&premise);
-                let existentials = t.existential_vars();
+                let mut existentials: Vec<Var> = Vec::new();
                 let conclusion = t
                     .rhs
                     .iter()
@@ -233,13 +236,18 @@ impl DepPlans {
                                 Term::Const(_) => ConOp::Const(arena.intern(*arg)),
                                 Term::Var(v) => match premise.slot(*v) {
                                     Some(s) => ConOp::Prem(s),
-                                    None => ConOp::Exist(
-                                        existentials
+                                    // Numbered in order of first occurrence,
+                                    // as `Tgd::existential_vars` lists them.
+                                    None => {
+                                        let e = existentials
                                             .iter()
                                             .position(|z| z == v)
-                                            .expect("rhs var is universal or existential")
-                                            as u32,
-                                    ),
+                                            .unwrap_or_else(|| {
+                                                existentials.push(*v);
+                                                existentials.len() - 1
+                                            });
+                                        ConOp::Exist(e as u32)
+                                    }
                                 },
                             })
                             .collect();
@@ -268,23 +276,43 @@ impl DepPlans {
             }
         }
     }
+
+    /// The tgd's conclusion atoms under the premise match `slots`, with
+    /// each existential left as the tgd's own variable (the instance
+    /// chase mints a labelled null for it).
+    pub(crate) fn ground_conclusion(&self, arena: &TermArena, slots: &[TermId]) -> Vec<Atom> {
+        self.conclusion
+            .iter()
+            .map(|(table, ops)| Atom {
+                pred: arena.table(*table).key().0,
+                args: ops
+                    .iter()
+                    .map(|op| match op {
+                        ConOp::Const(id) => arena.term(*id),
+                        ConOp::Prem(s) => arena.term(slots[*s as usize]),
+                        ConOp::Exist(e) => Term::Var(self.existentials[*e as usize]),
+                    })
+                    .collect(),
+            })
+            .collect()
+    }
 }
 
 /// A dependency's reusable search frames (premise + extension), allocated
 /// once per run — warm steps reuse them allocation-free.
-struct DepFrames {
-    premise: ArenaFrame,
-    ext: ArenaFrame,
+pub(crate) struct DepFrames {
+    pub(crate) premise: ArenaFrame,
+    pub(crate) ext: ArenaFrame,
 }
 
 impl DepFrames {
-    fn new() -> DepFrames {
+    pub(crate) fn new() -> DepFrames {
         DepFrames { premise: ArenaFrame::new(), ext: ArenaFrame::new() }
     }
 }
 
 /// Outcome of scanning one dependency against the current body.
-enum Scan {
+pub(crate) enum Scan {
     /// Nothing to do; `saw_applicable` = applicable homomorphisms existed
     /// but a custom admission predicate rejected all of them.
     Idle { saw_applicable: bool },
@@ -297,17 +325,31 @@ enum Scan {
     TgdFire(Box<[TermId]>),
 }
 
-/// Searches the egd premise for the first violating homomorphism.
+/// Searches the egd premise for the first homomorphism under which the
+/// equated terms have unequal images, and returns those images.
 /// Allocation-free on the no-violation path once `frame` is warm.
-fn scan_egd(plans: &DepPlans, arena: &TermArena, frame: &mut ArenaFrame) -> Scan {
+pub(crate) fn egd_violation(
+    plans: &DepPlans,
+    arena: &TermArena,
+    frame: &mut ArenaFrame,
+) -> Option<(Term, Term)> {
     let (lhs, rhs) = plans.egd_eq.expect("egd has compiled equality sides");
     frame.reset(plans.premise.slot_count());
-    let mut verdict: Option<Result<(Var, Term), ()>> = None;
+    let mut images = None;
     plans.premise.search(arena, frame, &mut |slots| {
-        verdict = classify_egd_images(lhs.resolve(arena, slots), rhs.resolve(arena, slots));
-        verdict.is_none() // keep searching until a violation
+        let (a, b) = (lhs.resolve(arena, slots), rhs.resolve(arena, slots));
+        if a == b {
+            return true; // keep searching until a violation
+        }
+        images = Some((a, b));
+        false
     });
-    match verdict {
+    images
+}
+
+/// [`egd_violation`], classified as a query-chase step.
+fn scan_egd(plans: &DepPlans, arena: &TermArena, frame: &mut ArenaFrame) -> Scan {
+    match egd_violation(plans, arena, frame).and_then(|(a, b)| classify_egd_images(a, b)) {
         None => Scan::Idle { saw_applicable: false },
         Some(Err(())) => Scan::EgdFailed,
         Some(Ok((from, to))) => Scan::EgdFire(from, to),
@@ -319,7 +361,7 @@ fn scan_egd(plans: &DepPlans, arena: &TermArena, frame: &mut ArenaFrame) -> Scan
 /// predicate prune the search in flight. The predicate's first `Err`
 /// stops the search and is returned. Allocation-free on the
 /// all-satisfied path once the frames are warm.
-fn scan_tgd(
+pub(crate) fn scan_tgd(
     plans: &DepPlans,
     arena: &TermArena,
     pf: &mut ArenaFrame,

@@ -11,28 +11,35 @@
 //!
 //! ## Search
 //!
-//! [`chase_database`]'s violation search runs on the flat arena
-//! ([`eqsql_cq::arena`]): the database is interned once into columnar
-//! per-relation tables (`u32` ids, one contiguous column per argument
-//! position) and refilled — terms and table registry kept — only when a
-//! step mutates it (satisfied checks reuse the view). Per-dependency
-//! [`eqsql_cq::ArenaPlan`]s compile once per run against that arena, and
-//! the dependency premise streams over it first-match with the tgd
-//! conclusion check threaded in as a pruning predicate through a
-//! precompiled seed map — no assignment set is ever collected, where the
-//! naive path materialized *every* premise assignment before looking at
-//! one. Rows are appended in the naive evaluator's per-relation tuple
-//! order, so both drivers repair the same violation first and allocate
-//! identical labelled nulls — which the differential suite asserts
-//! tuple-for-tuple. The naive [`assignments`]-based step functions
-//! survive privately for [`chase_database_reference`], the oracle.
+//! [`chase_database`] searches with the query chase engine's own
+//! machinery ([`crate::engine`]): the database is interned once into a
+//! flat [`eqsql_cq::TermArena`] (one columnar table per relation, `u32`
+//! ids), Σ compiles once per run into the engine's per-dependency plans,
+//! and each scan is the engine's first-match search. A tgd scan stops at
+//! the first premise match whose conclusion has no extension (every match
+//! is admitted); an egd scan stops at the first match whose equated terms
+//! have unequal images, which `egd_merge` turns into a null merge or a
+//! failure. A fired tgd's conclusion is grounded off the engine's
+//! conclusion template with its existentials left as variables, and
+//! `insert_conclusion` mints one labelled null per existential. The
+//! arena's rows are refilled (terms and tables kept) only after a step
+//! mutates the database.
+//!
+//! Rows are interned relation by relation in ascending tuple order, the
+//! order every [`Relation`] scan runs in, and the premise plans keep the
+//! written atom order. So the engine's first match is the naive
+//! evaluator's first assignment, both drivers repair the same violation
+//! first and allocate identical labelled nulls, and a repeated call
+//! repeats the run exactly. The naive [`assignments`]-based step
+//! functions survive privately for [`chase_database_reference`], the
+//! oracle.
 //!
 //! ## Scheduling
 //!
-//! [`chase_database`] uses the query chase engine's delta-driven worklist
-//! ([`crate::engine`]): a dependency found satisfied retires until a step
-//! changes one of its **premise** relations. That is sound here because
-//! steps only ever *add* witnesses elsewhere —
+//! [`chase_database`] uses the query chase engine's delta-driven worklist:
+//! a dependency found satisfied retires until a step changes one of its
+//! **premise** relations. That is sound here because steps only ever
+//! *add* witnesses elsewhere —
 //!
 //! * tgd steps insert tuples and remove nothing, so a satisfied
 //!   dependency's extensions survive;
@@ -47,12 +54,10 @@
 //! same dependency sequence as the naive restart-from-σ₀ scan — kept as
 //! [`chase_database_reference`], the differential oracle.
 
-use crate::engine::Worklist;
+use crate::engine::{egd_violation, scan_tgd, DepFrames, DepPlans, Scan, Worklist};
 use crate::error::{ChaseConfig, ChaseError};
 use crate::guard::RunGuard;
-use eqsql_cq::{
-    ArenaFrame, ArenaPlan, Atom, EqOp, Predicate, SeedMap, Term, TermArena, TermId, Value, Var,
-};
+use eqsql_cq::{Atom, Predicate, Term, TermArena, TermId, Value, Var};
 use eqsql_deps::{Dependency, DependencySet, Egd, Tgd};
 use eqsql_relalg::eval::{assignments, Assignment};
 use eqsql_relalg::{Database, Relation, Tuple};
@@ -122,41 +127,20 @@ fn replace_value(db: &Database, from: Value, to: Value) -> (Database, Vec<Predic
     (out, changed)
 }
 
-/// The database interned into a columnar [`TermArena`] — the search
-/// target. Per relation, rows are appended in core-set order, so the
-/// arena's candidate order equals the naive evaluator's.
-struct GroundView {
-    arena: TermArena,
-}
-
-impl GroundView {
-    fn of(db: &Database) -> GroundView {
-        let mut gv = GroundView { arena: TermArena::new() };
-        gv.fill(db);
-        gv
-    }
-
-    fn fill(&mut self, db: &Database) {
-        let mut scratch: Vec<TermId> = Vec::new();
-        for (p, r) in db.iter() {
-            let t = self.arena.table_id((p, r.arity()));
-            for tup in r.core_set() {
-                scratch.clear();
-                for v in tup.iter() {
-                    scratch.push(self.arena.intern(Term::Const(*v)));
-                }
-                self.arena.push_row(t, &scratch);
-            }
+/// Interns the database's tuples into `arena`'s tables, relation by
+/// relation in ascending tuple order (the naive evaluator's scan order).
+/// Refill after a step with [`TermArena::clear_rows`] first: interned
+/// ids and tables survive, so compiled plans stay valid and a refill
+/// interns nothing new except freshly minted nulls.
+fn fill(arena: &mut TermArena, db: &Database) {
+    let mut row: Vec<TermId> = Vec::new();
+    for (p, r) in db.iter() {
+        let t = arena.table_id((p, r.arity()));
+        for tup in r.core_set() {
+            row.clear();
+            row.extend(tup.iter().map(|v| arena.intern(Term::Const(*v))));
+            arena.push_row(t, &row);
         }
-    }
-
-    /// Re-interns the database after a mutating step. Interned term ids
-    /// and the table registry survive ([`TermArena::clear_rows`]), so
-    /// compiled plans stay valid and steady-state refills intern nothing
-    /// new except freshly minted nulls.
-    fn refill(&mut self, db: &Database) {
-        self.arena.clear_rows();
-        self.fill(db);
     }
 }
 
@@ -191,116 +175,10 @@ fn insert_conclusion(db: &mut Database, rhs: &[Atom], next_null: &mut u64) -> Ve
     added
 }
 
-/// A dependency's compiled plans, built once per chase run against the
-/// ground view's arena (the premise keeps the written atom order so the
-/// first violation found matches the naive oracle's).
-struct InstancePlans {
-    premise: ArenaPlan,
-    /// Tgd conclusion; `None` for egds.
-    conclusion: Option<ArenaPlan>,
-    /// Conclusion slot ← premise slot, for the shared universals.
-    con_seed: SeedMap,
-    /// Tgd rhs template: per atom, its predicate and how each argument
-    /// reads off a premise match (`Free` = existential, minted as a null).
-    rhs_tmpl: Vec<(Predicate, Vec<EqOp>)>,
-    /// Egd equality sides, resolved against the premise plan.
-    egd_eq: Option<(EqOp, EqOp)>,
-}
-
-impl InstancePlans {
-    fn compile(dep: &Dependency, arena: &mut TermArena) -> InstancePlans {
-        let premise = ArenaPlan::new(dep.lhs(), arena);
-        match dep {
-            Dependency::Tgd(t) => {
-                let conclusion = ArenaPlan::new(&t.rhs, arena);
-                let con_seed = conclusion.seed_map_from(&premise);
-                let rhs_tmpl = t
-                    .rhs
-                    .iter()
-                    .map(|a| (a.pred, a.args.iter().map(|arg| premise.eq_op(arg, arena)).collect()))
-                    .collect();
-                InstancePlans {
-                    premise,
-                    conclusion: Some(conclusion),
-                    con_seed,
-                    rhs_tmpl,
-                    egd_eq: None,
-                }
-            }
-            Dependency::Egd(e) => {
-                let egd_eq = Some((premise.eq_op(&e.eq.0, arena), premise.eq_op(&e.eq.1, arena)));
-                InstancePlans {
-                    premise,
-                    conclusion: None,
-                    con_seed: SeedMap::new(),
-                    rhs_tmpl: Vec::new(),
-                    egd_eq,
-                }
-            }
-        }
-    }
-}
-
-/// A dependency's reusable search frames, allocated once per run.
-struct InstanceFrames {
-    premise: ArenaFrame,
-    con: ArenaFrame,
-}
-
-impl InstanceFrames {
-    fn new() -> InstanceFrames {
-        InstanceFrames { premise: ArenaFrame::new(), con: ArenaFrame::new() }
-    }
-}
-
-/// Repairs the first tgd violation found, if any. Returns the predicates
-/// that received a new tuple, or `None` when the tgd is satisfied.
-///
-/// First-match arena search over the caller's [`GroundView`] with the
-/// conclusion check threaded in as a pruning predicate (seeded through
-/// the precompiled map): no assignment set is materialized, and a
-/// satisfied premise match costs one existence probe instead of a full
-/// enumeration of the conclusion's assignments.
-fn apply_tgd_instance(
-    db: &mut Database,
-    gv: &GroundView,
-    plans: &InstancePlans,
-    frames: &mut InstanceFrames,
-    next_null: &mut u64,
-) -> Option<Vec<Predicate>> {
-    let conclusion = plans.conclusion.as_ref().expect("tgd has a conclusion plan");
-    let InstanceFrames { premise: pf, con: cf } = frames;
-    pf.reset(plans.premise.slot_count());
-    let mut violating: Option<Box<[TermId]>> = None;
-    plans.premise.search(&gv.arena, pf, &mut |slots| {
-        cf.reset(conclusion.slot_count());
-        cf.seed_from(&plans.con_seed, slots);
-        if conclusion.has_match(&gv.arena, cf) {
-            true // conclusion witnessed; keep scanning
-        } else {
-            violating = Some(slots.into());
-            false
-        }
-    });
-    let slots = violating?;
-    // Ground the rhs template off the match (boundary conversion):
-    // premise-bound variables resolve to their matched constants, free
-    // (existential) variables stay variables for the null minting below.
-    let rhs: Vec<Atom> = plans
-        .rhs_tmpl
-        .iter()
-        .map(|(pred, ops)| Atom {
-            pred: *pred,
-            args: ops.iter().map(|op| op.resolve(&gv.arena, &slots)).collect(),
-        })
-        .collect();
-    Some(insert_conclusion(db, &rhs, next_null))
-}
-
 enum EgdInstanceOutcome {
     NoViolation,
-    /// A value was merged; the listed relations had tuples rewritten.
-    Applied(Vec<Predicate>),
+    /// A value was merged.
+    Applied,
     Failed,
 }
 
@@ -322,47 +200,9 @@ fn egd_merge(a: Value, b: Value) -> Option<(Value, Value)> {
     }
 }
 
-fn egd_image(op: &EqOp, gv: &GroundView, slots: &[TermId]) -> Value {
-    match op.resolve(&gv.arena, slots) {
-        Term::Const(c) => c,
-        Term::Var(v) => panic!("egd equates unbound variable {v}"),
-    }
-}
-
-fn apply_egd_instance(
-    db: &mut Database,
-    gv: &GroundView,
-    plans: &InstancePlans,
-    frames: &mut InstanceFrames,
-) -> EgdInstanceOutcome {
-    let (lhs, rhs) = plans.egd_eq.as_ref().expect("egd has compiled equality sides");
-    let pf = &mut frames.premise;
-    pf.reset(plans.premise.slot_count());
-    let mut violation: Option<(Value, Value)> = None;
-    plans.premise.search(&gv.arena, pf, &mut |slots| {
-        let a = egd_image(lhs, gv, slots);
-        let b = egd_image(rhs, gv, slots);
-        if a == b {
-            true
-        } else {
-            violation = Some((a, b));
-            false
-        }
-    });
-    let Some((a, b)) = violation else {
-        return EgdInstanceOutcome::NoViolation;
-    };
-    let Some((from, to)) = egd_merge(a, b) else {
-        return EgdInstanceOutcome::Failed;
-    };
-    let (next, changed) = replace_value(db, from, to);
-    *db = next;
-    EgdInstanceOutcome::Applied(changed)
-}
-
-/// Naive twin of [`apply_tgd_instance`]: materializes every premise
-/// assignment through the relational evaluator. Kept for
-/// [`chase_database_reference`], the oracle — do not "optimize".
+/// The naive tgd step: materializes every premise assignment through the
+/// relational evaluator. Kept for [`chase_database_reference`], the
+/// oracle — do not "optimize".
 fn apply_tgd_instance_reference(
     db: &mut Database,
     tgd: &Tgd,
@@ -378,7 +218,7 @@ fn apply_tgd_instance_reference(
     None
 }
 
-/// Naive twin of [`apply_egd_instance`], for the oracle driver.
+/// The naive egd step, for the oracle driver.
 fn apply_egd_instance_reference(db: &mut Database, egd: &Egd) -> EgdInstanceOutcome {
     let lhs_assignments = assignments(&egd.lhs, db);
     for asg in &lhs_assignments {
@@ -396,9 +236,8 @@ fn apply_egd_instance_reference(db: &mut Database, egd: &Egd) -> EgdInstanceOutc
         let Some((from, to)) = egd_merge(a, b) else {
             return EgdInstanceOutcome::Failed;
         };
-        let (next, changed) = replace_value(db, from, to);
-        *db = next;
-        return EgdInstanceOutcome::Applied(changed);
+        *db = replace_value(db, from, to).0;
+        return EgdInstanceOutcome::Applied;
     }
     EgdInstanceOutcome::NoViolation
 }
@@ -427,13 +266,13 @@ pub fn chase_database(
     let mut next_null = max_label(db);
     let mut steps = 0usize;
     let mut worklist = Worklist::new(sigma);
-    // Plans compile once per run against the ground view's arena; the
-    // view is refilled only after a step actually mutates the database —
-    // satisfied checks reuse it.
-    let mut gv = GroundView::of(&cur);
-    let plans: Vec<InstancePlans> =
-        sigma.iter().map(|d| InstancePlans::compile(d, &mut gv.arena)).collect();
-    let mut frames: Vec<InstanceFrames> = sigma.iter().map(|_| InstanceFrames::new()).collect();
+    // Plans compile once per run against the arena; its rows are refilled
+    // only after a step actually mutates the database — satisfied checks
+    // reuse them.
+    let mut arena = TermArena::new();
+    fill(&mut arena, &cur);
+    let plans: Vec<DepPlans> = sigma.iter().map(|d| DepPlans::compile(d, &mut arena)).collect();
+    let mut frames: Vec<DepFrames> = sigma.iter().map(|_| DepFrames::new()).collect();
     loop {
         guard.poll(steps)?;
         if steps >= config.max_steps {
@@ -442,38 +281,42 @@ pub fn chase_database(
         let Some(i) = worklist.pop_min() else {
             return Ok(InstanceChased { db: cur, failed: false, steps });
         };
-        match sigma.as_slice()[i] {
-            Dependency::Tgd(ref _t) => {
-                match apply_tgd_instance(&mut cur, &gv, &plans[i], &mut frames[i], &mut next_null) {
-                    Some(added) => {
-                        steps += 1;
-                        gv.refill(&cur);
-                        worklist.wake_subscribers(&added);
-                        // Another premise assignment of the same tgd may still
-                        // be violated even if nothing it listens on changed.
-                        worklist.rearm(i);
-                    }
-                    None => worklist.retire(i, false),
-                }
+        let DepFrames { premise: pf, ext: ef } = &mut frames[i];
+        // The relations a step changed: new tuples, or rewritten ones.
+        let changed = match sigma.as_slice()[i] {
+            Dependency::Tgd(_) => {
+                // A database holds no duplicate rows, and every premise
+                // match is admitted.
+                let Scan::TgdFire(slots) =
+                    scan_tgd(&plans[i], &arena, pf, ef, false, &mut |_| Ok(true))?
+                else {
+                    worklist.retire(i, false);
+                    continue;
+                };
+                let rhs = plans[i].ground_conclusion(&arena, &slots);
+                insert_conclusion(&mut cur, &rhs, &mut next_null)
             }
-            Dependency::Egd(ref _e) => {
-                match apply_egd_instance(&mut cur, &gv, &plans[i], &mut frames[i]) {
-                    EgdInstanceOutcome::NoViolation => worklist.retire(i, false),
-                    EgdInstanceOutcome::Applied(changed) => {
-                        steps += 1;
-                        gv.refill(&cur);
-                        worklist.wake_subscribers(&changed);
-                        // The violating premise tuples contained the replaced
-                        // value, so `changed` re-arms this egd via its own
-                        // subscription; keep it queued explicitly regardless.
-                        worklist.rearm(i);
-                    }
-                    EgdInstanceOutcome::Failed => {
-                        return Ok(InstanceChased { db: cur, failed: true, steps });
-                    }
-                }
+            Dependency::Egd(_) => {
+                let Some((a, b)) = egd_violation(&plans[i], &arena, pf) else {
+                    worklist.retire(i, false);
+                    continue;
+                };
+                let value = |t: Term| t.as_const().expect("a database binds every egd term");
+                let Some((from, to)) = egd_merge(value(a), value(b)) else {
+                    return Ok(InstanceChased { db: cur, failed: true, steps });
+                };
+                let (next, changed) = replace_value(&cur, from, to);
+                cur = next;
+                changed
             }
-        }
+        };
+        steps += 1;
+        arena.clear_rows();
+        fill(&mut arena, &cur);
+        worklist.wake_subscribers(&changed);
+        // Another premise match of the same dependency may still be
+        // violated even if nothing it listens on changed.
+        worklist.rearm(i);
     }
 }
 
@@ -502,7 +345,7 @@ pub fn chase_database_reference(
                 }
                 Dependency::Egd(e) => match apply_egd_instance_reference(&mut cur, e) {
                     EgdInstanceOutcome::NoViolation => {}
-                    EgdInstanceOutcome::Applied(_) => {
+                    EgdInstanceOutcome::Applied => {
                         steps += 1;
                         continue 'outer;
                     }
@@ -630,10 +473,17 @@ mod tests {
         }
     }
 
+    fn outcome(
+        r: &Result<InstanceChased, ChaseError>,
+    ) -> Result<(bool, usize, &Database), &ChaseError> {
+        r.as_ref().map(|c| (c.failed, c.steps, &c.db))
+    }
+
     /// The worklist engine must be step-for-step identical to the naive
     /// restart-scan driver: same repaired database (null allocation
     /// included), same step count, same failure flag — across random
-    /// databases and dependency sets mixing tgd chains and key egds.
+    /// databases and dependency sets mixing tgd chains and key egds. A
+    /// second call on the same input must repeat the first exactly.
     #[test]
     fn worklist_matches_reference_on_random_draws() {
         let sigmas = [
@@ -650,6 +500,11 @@ mod tests {
             "a(X,Y) -> b(X,Y).\n\
              b(X,Y1) & b(X,Y2) -> Y1 = Y2.\n\
              c(X) -> a(X,X).",
+            // A constant in a conclusion, and an existential shared by two
+            // conclusion atoms.
+            "c(X) -> a(X,7) & b(Z,X).\n\
+             a(X,Y) -> b(X,Z) & b(Z,Y).\n\
+             b(X,Y1) & b(X,Y2) -> Y1 = Y2.",
         ];
         let mut rng = XorShift(0x9E37_79B9_7F4A_7C15);
         for round in 0..40 {
@@ -666,6 +521,8 @@ mod tests {
             }
             let cfg = ChaseConfig::with_max_steps(200);
             let fast = chase_database(&db, &sigma, &cfg, &RunGuard::unguarded());
+            let again = chase_database(&db, &sigma, &cfg, &RunGuard::unguarded());
+            assert_eq!(outcome(&again), outcome(&fast), "round {round}: a repeat call diverges");
             let slow = chase_database_reference(&db, &sigma, &cfg);
             match (fast, slow) {
                 (Ok(f), Ok(s)) => {

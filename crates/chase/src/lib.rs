@@ -21,7 +21,9 @@
 //! * the **Max-Bag-Σ-Subset** and **Max-Bag-Set-Σ-Subset** algorithms
 //!   (Algorithms 1–2, Theorem 5.3/I.1);
 //! * an **instance-level chase** with labelled nulls, used to repair
-//!   randomly generated databases into models of Σ.
+//!   randomly generated databases and counterexample candidates into
+//!   models of Σ, and to answer `Request::ChaseInstance`; it runs on the
+//!   engine's compiled dependency plans and worklist.
 //!
 //! ## Execution architecture
 //!

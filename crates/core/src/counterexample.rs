@@ -24,9 +24,10 @@
 //! that separates wins, so a search that succeeds early never pays for
 //! the later chases.
 //!
-//! The search is sound (every returned database is verified to satisfy Σ
-//! and to separate the queries) but not complete; `None` means "no witness
-//! found among the candidates", not a proof of equivalence.
+//! The search is sound (every returned database passes
+//! [`check_separating`]: it satisfies Σ and separates the queries) but not
+//! complete; `None` means "no witness found among the candidates", not a
+//! proof of equivalence.
 
 use eqsql_chase::instance::chase_database;
 use eqsql_chase::ChaseConfig;
@@ -66,20 +67,32 @@ pub fn lemma_d1_m_star(q1: &CqQuery, q2: &CqQuery, rel: Predicate) -> u64 {
     }
 }
 
-fn answers_differ(sem: Semantics, q1: &CqQuery, q2: &CqQuery, db: &Database) -> bool {
-    match (eval(q1, db, sem), eval(q2, db, sem)) {
-        (Ok(a), Ok(b)) => a != b,
-        _ => false, // semantics not applicable on this database
-    }
-}
-
-fn db_admissible(db: &Database, sem: Semantics, sigma: &DependencySet, schema: &Schema) -> bool {
+/// Does `db` separate `q1` from `q2` under `sem`? It must satisfy Σ, be
+/// set-valued where the semantics (or, under bag semantics, the schema)
+/// requires, and give the two queries different answers. `Err` names the
+/// first requirement that fails.
+pub fn check_separating(
+    db: &Database,
+    sem: Semantics,
+    q1: &CqQuery,
+    q2: &CqQuery,
+    sigma: &DependencySet,
+    schema: &Schema,
+) -> Result<(), &'static str> {
     if !db_satisfies_all(db, sigma) {
-        return false;
+        return Err("witness database does not satisfy Σ");
     }
-    match sem {
+    let admissible = match sem {
         Semantics::Set | Semantics::BagSet => db.is_set_valued(),
         Semantics::Bag => db.are_set_valued(&schema.set_valued_relations()),
+    };
+    if !admissible {
+        return Err("witness database violates the schema's set-valuedness flags");
+    }
+    match (eval(q1, db, sem), eval(q2, db, sem)) {
+        (Ok(a), Ok(b)) if a != b => Ok(()),
+        (Ok(_), Ok(_)) => Err("queries agree on the witness database"),
+        _ => Err("queries could not be evaluated on the witness database"),
     }
 }
 
@@ -119,9 +132,7 @@ pub fn separating_database_via<C: crate::sigma_equiv::SoundChaser + ?Sized>(
     // candidate test here.
     let guard = chaser.run_guard();
     let separates = |db: &Database| {
-        guard.check(0).is_ok()
-            && db_admissible(db, sem, sigma, schema)
-            && answers_differ(sem, q1, q2, db)
+        guard.check(0).is_ok() && check_separating(db, sem, q1, q2, sigma, schema).is_ok()
     };
 
     // (1) Canonical databases of the chased queries. The set-semantics
@@ -265,8 +276,7 @@ mod tests {
         let q4 = parse_query("q4(X) :- p(X,Y)").unwrap();
         let witness = separating_database(Semantics::Bag, &q1, &q4, &sigma, &schema, &cfg());
         let db = witness.expect("a separating database must exist");
-        assert!(db_satisfies_all(&db, &sigma));
-        assert!(answers_differ(Semantics::Bag, &q1, &q4, &db));
+        assert_eq!(check_separating(&db, Semantics::Bag, &q1, &q4, &sigma, &schema), Ok(()));
         // The same pair is separable under bag-set semantics too.
         let witness_bs = separating_database(Semantics::BagSet, &q1, &q4, &sigma, &schema, &cfg());
         assert!(witness_bs.is_some());

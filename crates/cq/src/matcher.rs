@@ -293,7 +293,7 @@ pub(crate) fn greedy_order(
 ) -> Vec<usize> {
     let mut order: Vec<usize> = Vec::with_capacity(src.len());
     let mut placed = vec![false; src.len()];
-    let mut known: std::collections::HashSet<Var> = bound.iter().copied().collect();
+    let mut known: Vec<Var> = bound.to_vec(); // a handful of variables
     for _ in 0..src.len() {
         let mut best: Option<(i64, usize, usize)> = None; // (score, card, idx)
         for (i, atom) in src.iter().enumerate() {
@@ -302,18 +302,12 @@ pub(crate) fn greedy_order(
             }
             let mut pinned = 0i64; // constants + already-known vars
             let mut fresh = 0i64; // distinct new vars introduced
-            let mut seen_here: Vec<Var> = Vec::new();
-            for t in &atom.args {
+            for (j, t) in atom.args.iter().enumerate() {
                 match t {
                     Term::Const(_) => pinned += 1,
-                    Term::Var(v) => {
-                        if known.contains(v) || seen_here.contains(v) {
-                            pinned += 1;
-                        } else {
-                            fresh += 1;
-                            seen_here.push(*v);
-                        }
-                    }
+                    // A repeat within the atom is pinned by its first use.
+                    Term::Var(v) if known.contains(v) || atom.args[..j].contains(t) => pinned += 1,
+                    Term::Var(_) => fresh += 1,
                 }
             }
             // Higher is better; full ties resolve to the lowest

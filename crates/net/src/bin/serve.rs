@@ -52,12 +52,14 @@
 //! error.
 //!
 //! Observability (`eqsql_obs`, off by default so the serving path stays
-//! step-identical): `--metrics` turns instrumentation on and prints
+//! step-identical; the solver observes exactly when it holds a trace
+//! sink): `--metrics` turns instrumentation on and prints
 //! `metric:`-prefixed summary lines at end of run (latency histogram
-//! quantiles, cumulative per-phase timings, core counters); `--trace FILE`
-//! additionally writes each decided request's record line to FILE — the
-//! `verdict …` line of the `eqsql_net` wire protocol, with the observed
-//! fields (see `eqsql_service::RequestRecord::render`; `id=` is the
+//! quantiles, cumulative per-phase timings, core counters); without
+//! `--trace` its sink drops the record lines. `--trace FILE` writes each
+//! decided request's record line to FILE — the `verdict …` line of the
+//! `eqsql_net` wire protocol, with the observed fields (see
+//! `eqsql_service::RequestRecord::render`; `id=` is the
 //! request's index in the file, or its wire id under `--listen`);
 //! `--progress MS` prints a liveness line to stderr every MS milliseconds
 //! while the batch loop or the server runs.
@@ -264,11 +266,9 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    // Observability is opt-in: only these flags flip the global gate, so a
-    // plain run keeps the zero-cost (step-identical) disabled fast path.
-    if args.metrics || args.trace.is_some() {
-        eqsql_obs::set_enabled(true);
-    }
+    // Observability is opt-in: a trace sink is the solver's one switch, so
+    // a plain run keeps the zero-cost (step-identical) unobserved path.
+    // `--metrics` alone observes into a sink that drops the lines.
     let trace_sink: Option<Arc<dyn TraceSink>> = match &args.trace {
         Some(path) => match std::fs::File::create(path) {
             Ok(f) => Some(Arc::new(WriteSink::new(f))),
@@ -277,6 +277,7 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         },
+        None if args.metrics => Some(Arc::new(WriteSink::new(std::io::sink()))),
         None => None,
     };
     let mut builder = Solver::builder(request.sigma, request.schema)

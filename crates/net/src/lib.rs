@@ -113,7 +113,7 @@
 //! socket read.
 //!
 //! When the solver observes the request (`eqsql-serve --metrics` or
-//! `--trace`, i.e. [`eqsql_obs::set_enabled`] or a trace sink), ten
+//! `--trace`, i.e. a trace sink is installed), ten
 //! fields follow `wall_us`: the five phases `queue_us=` `regularize_us=`
 //! `chase_us=` `cache_us=` `evidence_us=` (the queue phase starts at the
 //! socket read), then `attempts=` (decision attempts, `0` for a shed

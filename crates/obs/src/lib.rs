@@ -20,20 +20,17 @@
 //!
 //! ## The off switch
 //!
-//! Instrumentation must be free when nobody is looking. Two mechanisms:
+//! Instrumentation must be free when nobody is looking. There is no
+//! process-global gate: whoever owns the work holds the handles, and an
+//! absent handle is the off switch. A solver observes exactly when it was
+//! given a [`TraceSink`]; [`StepProbe::default`] holds no state and every
+//! callback is a single `Option` test — the same pattern as the engine's
+//! unguarded `RunGuard` — so the engine stays step-identical whether or
+//! not anything observes it.
 //!
-//! * The global [`enabled`] flag (one relaxed [`AtomicBool`]): probe
-//!   sites that would otherwise take timestamps check it first, so the
-//!   disabled cost is a branch on one relaxed atomic load.
-//! * Handle-level `Option`s: [`StepProbe::default`] holds no state and
-//!   every callback is a single `Option` test — the same pattern as the
-//!   engine's unguarded `RunGuard` — so the engine stays step-identical
-//!   whether or not the process ever enables observability.
-//!
-//! Neither mechanism may change *results*: every consumer of this crate
+//! Observation may never change *results*: every consumer of this crate
 //! is pinned by a differential suite asserting verdicts, step counts and
-//! cache attribution are bit-identical with instrumentation disabled and
-//! enabled.
+//! cache attribution are bit-identical with instrumentation off and on.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -45,24 +42,8 @@ pub mod trace;
 pub use hist::{Histogram, HistogramSummary};
 pub use trace::{Phase, TraceCtx, TraceSink, VecSink, WriteSink, PHASES};
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// The global observability gate, default **off**.
-static ENABLED: AtomicBool = AtomicBool::new(false);
-
-/// Is observability globally enabled? One relaxed atomic load — the
-/// whole cost of a disabled probe site.
-#[inline]
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Flips the global observability gate. Process-wide; flip it once at
-/// startup (`eqsql-serve --metrics`, the load harness), not per request.
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
-}
 
 struct ProbeInner {
     steps: AtomicU64,

@@ -3,22 +3,26 @@
 //! A relation is a bag of tuples: a *core-set* of distinct tuples with a
 //! positive multiplicity attached to each (§2.1 of the paper). A relation is
 //! *set-valued* when every multiplicity is 1.
+//!
+//! Tuples are kept sorted, so every scan of a relation runs in ascending
+//! tuple order: evaluation and the instance chase visit the same tuples in
+//! the same order on every call.
 
 use crate::tuple::Tuple;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// A bag of tuples of a fixed arity.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Relation {
     arity: usize,
-    tuples: HashMap<Tuple, u64>,
+    tuples: BTreeMap<Tuple, u64>,
 }
 
 impl Relation {
     /// An empty relation of the given arity.
     pub fn new(arity: usize) -> Relation {
-        Relation { arity, tuples: HashMap::new() }
+        Relation { arity, tuples: BTreeMap::new() }
     }
 
     /// Builds a set-valued relation from distinct tuples (duplicates in the
@@ -81,12 +85,13 @@ impl Relation {
         self.tuples.values().all(|&m| m == 1)
     }
 
-    /// Iterates over `(tuple, multiplicity)` pairs in an unspecified order.
+    /// Iterates over `(tuple, multiplicity)` pairs in ascending tuple
+    /// order.
     pub fn iter(&self) -> impl Iterator<Item = (&Tuple, u64)> + '_ {
         self.tuples.iter().map(|(t, m)| (t, *m))
     }
 
-    /// The core-set as an iterator of distinct tuples.
+    /// The core-set as an iterator of distinct tuples, in ascending order.
     pub fn core_set(&self) -> impl Iterator<Item = &Tuple> + '_ {
         self.tuples.keys()
     }
@@ -96,11 +101,9 @@ impl Relation {
         Relation { arity: self.arity, tuples: self.tuples.keys().map(|t| (t.clone(), 1)).collect() }
     }
 
-    /// Deterministically sorted `(tuple, multiplicity)` pairs.
+    /// The `(tuple, multiplicity)` pairs in ascending tuple order.
     pub fn sorted(&self) -> Vec<(Tuple, u64)> {
-        let mut v: Vec<(Tuple, u64)> = self.tuples.iter().map(|(t, m)| (t.clone(), *m)).collect();
-        v.sort();
-        v
+        self.tuples.iter().map(|(t, m)| (t.clone(), *m)).collect()
     }
 
     /// Bag projection on `positions` (Appendix E.1): each copy of each tuple
@@ -119,7 +122,7 @@ impl fmt::Display for Relation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{{{{")?;
         let mut first = true;
-        for (t, m) in self.sorted() {
+        for (t, m) in self.iter() {
             for _ in 0..m {
                 if !first {
                     write!(f, ", ")?;

@@ -48,7 +48,7 @@ pub fn parse_database(input: &str) -> Result<Database, ParseError> {
 pub fn render_database(db: &Database) -> String {
     let mut out = String::new();
     for (pred, rel) in db.iter() {
-        for (tuple, mult) in rel.sorted() {
+        for (tuple, mult) in rel.iter() {
             for _ in 0..mult {
                 out.push_str(pred.name());
                 out.push('(');

@@ -23,6 +23,7 @@
 //! calls these on every verdict it draws, which is what keeps the evidence
 //! real rather than decorative.
 
+use eqsql_core::counterexample::check_separating;
 use eqsql_cq::{is_containment_mapping, is_isomorphism, CqQuery, Subst, Var};
 use eqsql_deps::satisfaction::{db_satisfies, db_satisfies_all};
 use eqsql_deps::{Dependency, DependencySet};
@@ -125,7 +126,8 @@ pub struct Counterexample {
 impl Counterexample {
     /// Replays the counterexample: `db ⊨ Σ`, `db` is admissible for the
     /// semantics (set-valued where required), and evaluating `q1` and `q2`
-    /// on it really yields different answers.
+    /// on it really yields different answers — the check
+    /// ([`check_separating`]) the witness search accepted it by.
     pub fn verify(
         &self,
         q1: &CqQuery,
@@ -133,21 +135,7 @@ impl Counterexample {
         sigma: &DependencySet,
         schema: &Schema,
     ) -> Result<(), CertificateError> {
-        if !db_satisfies_all(&self.db, sigma) {
-            return fail("witness database does not satisfy Σ");
-        }
-        let admissible = match self.sem {
-            Semantics::Set | Semantics::BagSet => self.db.is_set_valued(),
-            Semantics::Bag => self.db.are_set_valued(&schema.set_valued_relations()),
-        };
-        if !admissible {
-            return fail("witness database violates the schema's set-valuedness flags");
-        }
-        match (eval(q1, &self.db, self.sem), eval(q2, &self.db, self.sem)) {
-            (Ok(a), Ok(b)) if a != b => Ok(()),
-            (Ok(_), Ok(_)) => fail("queries agree on the witness database"),
-            _ => fail("queries could not be evaluated on the witness database"),
-        }
+        check_separating(&self.db, self.sem, q1, q2, sigma, schema).or_else(fail)
     }
 
     /// Replays a **set-containment** gap: `db ⊨ Σ` and some answer of `q1`

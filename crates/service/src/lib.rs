@@ -89,12 +89,13 @@
 //! * **Record layout.** Both files open with an 8-byte magic and a
 //!   little-endian format version; each record is `body_len (u32) ·
 //!   FNV-1a-64 checksum · body`. A body stores the full entry *by
-//!   structure*: the context key material (semantics, budgets, engine
-//!   mode, sorted set-valued relations, the regularized Σ as tgd/egd
-//!   trees), the representative query, and the outcome — a terminal chase
-//!   (terminal query, failure flag, steps, renaming) or a cacheable
-//!   terminal error by its stable wire code. Fingerprints are recomputed
-//!   on load, never trusted from disk; symbols are re-interned by name.
+//!   structure*: the context key material (semantics, a `reserved` byte
+//!   that is always 0, budgets, sorted set-valued relations, the
+//!   regularized Σ as tgd/egd trees), the representative query, and the
+//!   outcome — a terminal chase (terminal query, failure flag, steps,
+//!   renaming) or a cacheable terminal error by its stable wire code.
+//!   Fingerprints are recomputed on load, never trusted from disk;
+//!   symbols are re-interned by name.
 //! * **Snapshot cadence.** After [`cache::persist::PersistConfig::snapshot_every`]
 //!   appends, every live record is compacted into a fresh snapshot
 //!   (written to a temp file, atomically renamed) and the log is reset to
@@ -174,9 +175,9 @@
 //! this crate wires it through every layer:
 //!
 //! * **Off by default, and free when off.** No timestamp is taken and no
-//!   probe armed unless the global [`eqsql_obs::enabled`] gate is on or a
-//!   [`SolverBuilder::trace_sink`] is configured; the disabled cost is an
-//!   `Option` test per site. Instrumentation is pure accounting either
+//!   probe armed unless a [`SolverBuilder::trace_sink`] is installed, the
+//!   one observation switch; the disabled cost is an `Option` test per
+//!   site. Instrumentation is pure accounting either
 //!   way — verdicts, chase step counts and cache attribution are
 //!   bit-identical with observability off and on, pinned by a randomized
 //!   differential suite.

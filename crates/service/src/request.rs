@@ -331,15 +331,29 @@ pub fn parse_request_line(line: &str, schema: &Schema) -> Result<Request, Reques
     }
 }
 
-/// Checks a programmatically built request against `schema`, as
-/// [`parse_request_line`] checks a wire line: a relation the schema
-/// declares must appear at its declared arity, and no relation may appear
-/// at two arities (a [`Request::ChaseInstance`] database's relations
-/// count as uses). Unlike a wire line, a request may use relations the
-/// schema does not declare.
-pub(crate) fn check_arities(request: &Request, schema: &Schema) -> Result<(), RequestParseError> {
+/// The arity of every relation `schema` declares or Σ mentions, or the
+/// parse error of the first relation Σ uses at a second arity.
+pub(crate) fn arity_table(
+    schema: &Schema,
+    sigma: &DependencySet,
+) -> Result<BTreeMap<Predicate, usize>, RequestParseError> {
     let mut arities: BTreeMap<Predicate, usize> =
         schema.iter().map(|r| (r.name, r.arity)).collect();
+    sigma.iter().try_for_each(|dep| note_dep(dep, &mut arities, 0))?;
+    Ok(arities)
+}
+
+/// Checks a programmatically built request against an [`arity_table`],
+/// as [`parse_request_line`] checks a wire line: a relation the schema
+/// declares or Σ mentions must appear at that arity, and no relation may
+/// appear at two arities (a [`Request::ChaseInstance`] database's
+/// relations count as uses). Unlike a wire line, a request may use
+/// relations the schema does not declare.
+pub(crate) fn check_arities(
+    request: &Request,
+    table: &BTreeMap<Predicate, usize>,
+) -> Result<(), RequestParseError> {
+    let mut arities = table.clone();
     match request {
         Request::Equivalent { q1, q2, .. }
         | Request::Contained { q1, q2, .. }

@@ -53,7 +53,7 @@ use crate::evidence::{
     ImplicationCounterexample,
 };
 use crate::record::RequestRecord;
-use crate::request::check_arities;
+use crate::request::{arity_table, check_arities, RequestParseError};
 use eqsql_chase::instance::chase_database;
 use eqsql_chase::{Cancel, ChaseConfig, ChaseError, EngineOpts, FaultPlan, RunGuard, SoundChased};
 use eqsql_core::bag_containment::{find_non_containment_witness, onto_containment_mapping};
@@ -61,12 +61,15 @@ use eqsql_core::counterexample::separating_database_via;
 use eqsql_core::{
     cnb_via, sigma_minimality_witness_via, CnbOptions, MinimalityWitness, SoundChaser,
 };
-use eqsql_cq::{canonical_representation, containment_mapping, find_isomorphism, CqQuery, Subst};
+use eqsql_cq::{
+    canonical_representation, containment_mapping, find_isomorphism, CqQuery, Predicate, Subst,
+};
 use eqsql_deps::implication::{conclusion_holds, premise_query};
 use eqsql_deps::satisfaction::query_satisfies_all;
 use eqsql_deps::{Dependency, DependencySet};
 use eqsql_obs::{Histogram, HistogramSummary, Phase, StepProbe, TraceCtx, TraceSink, PHASES};
 use eqsql_relalg::{canonical_database, Database, Schema, Semantics};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -589,10 +592,9 @@ pub struct BatchReport {
 }
 
 /// Cumulative per-phase wall time across every observed batch request,
-/// in microseconds. All zero until observability is on (the global
-/// [`eqsql_obs::enabled`] gate or a configured
-/// [`SolverBuilder::trace_sink`]) — the disabled solver takes no
-/// per-phase timestamps at all.
+/// in microseconds. All zero unless the solver observes (a
+/// [`SolverBuilder::trace_sink`] is installed) — an unobserved solver
+/// takes no per-phase timestamps at all.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PhaseTotals {
     /// Admission-queue wait (batch intake → worker pickup).
@@ -622,8 +624,8 @@ pub struct SolverStats {
     /// Requests that panicked and were isolated to an [`Error::Internal`]
     /// verdict since construction.
     pub panics: u64,
-    /// Per-request batch latency summary (µs), populated only while
-    /// observability is on — see [`PhaseTotals`].
+    /// Per-request batch latency summary (µs), populated only while the
+    /// solver observes — see [`PhaseTotals`].
     pub latency: HistogramSummary,
     /// Cumulative per-phase timings across observed batch requests.
     pub phase: PhaseTotals,
@@ -695,23 +697,27 @@ impl SolverBuilder {
     }
 
     /// Installs a per-request trace sink: every batch request (including
-    /// shed and dead ones) emits its [`RequestRecord::render`] line.
-    /// Configuring a sink turns observation on for this solver regardless
-    /// of the global [`eqsql_obs::enabled`] flag — the sink is an explicit
-    /// opt-in.
+    /// shed and dead ones) emits its [`RequestRecord::render`] line. The
+    /// sink is the solver's one observation switch: with it, requests
+    /// take per-phase timestamps and arm engine probes, and
+    /// [`SolverStats::latency`] and [`SolverStats::phase`] fill; without
+    /// it, none of that runs. To observe without keeping the lines, install
+    /// `WriteSink::new(std::io::sink())`.
     pub fn trace_sink(mut self, sink: Arc<dyn TraceSink>) -> SolverBuilder {
         self.trace_sink = Some(sink);
         self
     }
 
     /// Builds the solver: Σ is regularized once, context keys are
-    /// precomputed per semantics, the cache is created if not adopted.
+    /// precomputed per semantics, the schema's and Σ's relation arities
+    /// are tabled for request checks, the cache is created if not adopted.
     pub fn build(self) -> Solver {
         let cache = self.cache.unwrap_or_else(|| Arc::new(ChaseCache::new(self.cache_config)));
         let (sigma_reg, reg_text) = cache.regularized_with_text(&self.sigma);
         let ctx = [Semantics::Set, Semantics::Bag, Semantics::BagSet].map(|sem| {
             ChaseContext::with_text(sem, Arc::clone(&reg_text), &self.schema, &self.config)
         });
+        let arities = arity_table(&self.schema, &self.sigma);
         Solver {
             sigma: self.sigma,
             schema: self.schema,
@@ -727,6 +733,7 @@ impl SolverBuilder {
             shed: AtomicU64::new(0),
             retries: AtomicU64::new(0),
             panics: AtomicU64::new(0),
+            arities,
             trace_sink: self.trace_sink,
             latency: Histogram::new(),
             phase_totals: Default::default(),
@@ -755,6 +762,9 @@ pub struct Solver {
     shed: AtomicU64,
     retries: AtomicU64,
     panics: AtomicU64,
+    /// Every relation's arity, from the schema and Σ; a conflict between
+    /// the two is the parse error every request gets.
+    arities: Result<BTreeMap<Predicate, usize>, RequestParseError>,
     /// Event sink for per-request traces ([`SolverBuilder::trace_sink`]).
     trace_sink: Option<Arc<dyn TraceSink>>,
     /// Per-request batch latency (µs), recorded only while observing.
@@ -940,12 +950,12 @@ impl Solver {
         }
     }
 
-    /// Is this solver observing batch requests? True when the global
-    /// [`eqsql_obs::enabled`] gate is on *or* a [`SolverBuilder::trace_sink`]
-    /// was configured. When false, batch decisions take no timestamps
-    /// beyond the pre-existing wall clock and arm no engine probe.
+    /// Is this solver observing batch requests? True when a
+    /// [`SolverBuilder::trace_sink`] is installed. When false, batch
+    /// decisions take no timestamps beyond the pre-existing wall clock and
+    /// arm no engine probe.
     fn observing(&self) -> bool {
-        self.trace_sink.is_some() || eqsql_obs::enabled()
+        self.trace_sink.is_some()
     }
 
     /// The span of a request that arrived at `arrived`, while observing:
@@ -1279,7 +1289,7 @@ impl Solver {
     fn answer(&self, request: &Request, chaser: &SolverChaser<'_>) -> Result<Answer, Error> {
         // A relation at the wrong arity would trip an arity assertion deep
         // inside a chase; answer it as the wire parser answers such a line.
-        check_arities(request, &self.schema)?;
+        check_arities(request, self.arities.as_ref().map_err(Clone::clone)?)?;
         let config = chaser.config;
         match request {
             Request::Equivalent { q1, q2, opts } => {
@@ -1448,13 +1458,11 @@ impl Solver {
         }
         // Route the search's query chases through the shared cache —
         // they are exactly the chases that just produced the negative
-        // verdict this witness decorates.
+        // verdict this witness decorates. The search accepts a database
+        // only by the check `Counterexample::verify` replays.
         let search = || {
-            let db =
-                separating_database_via(chaser, sem, q1, q2, &self.sigma, &self.schema, config)?;
-            let cex = Counterexample { db, sem };
-            cex.verify(q1, q2, &self.sigma, &self.schema).ok()?;
-            Some(cex)
+            separating_database_via(chaser, sem, q1, q2, &self.sigma, &self.schema, config)
+                .map(|db| Counterexample { db, sem })
         };
         match chaser.trace {
             // The search's nested chases already bill Chase/Cache time;
@@ -1621,6 +1629,7 @@ impl Solver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eqsql_chase::Fault;
     use eqsql_cq::parse_query;
     use eqsql_deps::{parse_dependencies, parse_dependency};
 
@@ -2056,12 +2065,10 @@ mod tests {
     }
 
     /// A decision that panics is isolated to an [`Error::Internal`] whose
-    /// record is one line, for the wire and for the trace sink alike,
-    /// although the panic message (an `assert_eq!` report) spans several.
-    /// The request is malformed on purpose: its binary `b` atom against
-    /// Σ's unary `b`, a relation the schema does not declare, trips the
-    /// bag relation's arity assertion when the counterexample search
-    /// builds a database holding both.
+    /// record is one line, for the wire and for the trace sink alike. The
+    /// panic is injected at the first guard poll. How a multi-line
+    /// message is flattened is pinned by `eqsql_net`'s
+    /// `verdict_lines_round_trip`.
     #[test]
     fn a_panicking_decision_renders_one_line() {
         let sigma = parse_dependencies("a(X) -> b(X).").unwrap();
@@ -2071,15 +2078,17 @@ mod tests {
             .trace_sink(Arc::clone(&sink) as Arc<dyn TraceSink>)
             .build();
         let req = Request::Equivalent {
-            q1: q("q(X) :- a(X), b(X,Y)"),
+            q1: q("q(X) :- a(X), b(X)"),
             q2: q("q(X) :- a(X)"),
-            opts: RequestOpts::with_sem(Semantics::Bag),
+            opts: RequestOpts {
+                fault: Some(FaultPlan::new(1, Fault::Panic)),
+                ..RequestOpts::with_sem(Semantics::Bag)
+            },
         };
         let record = s.decide_request(&req, &BatchOptions::default(), Instant::now(), 7);
         let Err(Error::Internal { message }) = &record.verdict else {
             panic!("expected an isolated panic, got {:?}", record.verdict)
         };
-        assert!(message.contains('\n'), "a one-line panic message proves nothing: {message}");
         let line = record.render();
         assert!(!line.contains(['\n', '\r']), "{line}");
         assert!(line.starts_with("verdict id=7 verb=equivalent "), "{line}");
@@ -2090,10 +2099,10 @@ mod tests {
         assert_eq!(s.stats().panics, 1);
     }
 
-    /// A request whose atoms disagree with the schema's arities gets the
-    /// wire parser's typed error before any chase, from [`Solver::decide`]
-    /// and [`Solver::decide_request`] alike; so does one relation at two
-    /// arities, declared or not.
+    /// A request whose atoms disagree with the schema's or Σ's arities
+    /// gets the wire parser's typed error before any chase, from
+    /// [`Solver::decide`] and [`Solver::decide_request`] alike; so does one
+    /// relation at two arities, declared or not.
     #[test]
     fn a_wrong_arity_request_is_a_parse_error() {
         let sigma = parse_dependencies("a(X) -> b(X).").unwrap();
@@ -2113,6 +2122,30 @@ mod tests {
         assert!(line.contains(" terminal=error "), "{line}");
         let req = Request::Minimal { q: q("q(X) :- c(X), c(X,Y)"), opts: RequestOpts::default() };
         assert!(matches!(s.decide(&req), Err(Error::Parse { .. })));
+        // A relation only Σ mentions is checked at Σ's arity.
+        let sigma = parse_dependencies("a(X) -> b(X).").unwrap();
+        let s_a = Solver::builder(sigma, Schema::all_bags(&[("a", 1)])).build();
+        let req_b = Request::Equivalent {
+            q1: q("q(X) :- a(X), b(X,Y)"),
+            q2: q("q(X) :- a(X)"),
+            opts: RequestOpts::with_sem(Semantics::Bag),
+        };
+        let Err(Error::Parse { line: 0, message }) = s_a.decide(&req_b) else {
+            panic!("expected a parse error, got {:?}", s_a.decide(&req_b))
+        };
+        assert_eq!(message, "relation b used with arities 1 and 2");
+        let line = s_a.decide_request(&req_b, &BatchOptions::default(), Instant::now(), 4).render();
+        assert!(line.starts_with("verdict id=4 verb=equivalent outcome=parse-error "), "{line}");
+        assert!(line.contains(" terminal=error "), "{line}");
+        assert_eq!(s_a.stats().panics, 0);
+        // A Σ at odds with the schema makes every request that parse error.
+        let sigma = parse_dependencies("a(X,Y) -> b(X).").unwrap();
+        let s_bad = Solver::builder(sigma, Schema::all_bags(&[("a", 1)])).build();
+        let req = Request::Minimal { q: q("q(X) :- b(X)"), opts: RequestOpts::default() };
+        let Err(Error::Parse { message, .. }) = s_bad.decide(&req) else {
+            panic!("expected a parse error, got {:?}", s_bad.decide(&req))
+        };
+        assert_eq!(message, "relation a used with arities 1 and 2");
         // A database relation counts as a use: a binary `b` would take
         // the repair's unary `b` tuple.
         let db = Database::new().with_ints("a", &[[1]]).with_ints("b", &[[1, 2]]);

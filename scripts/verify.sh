@@ -89,6 +89,11 @@ awk '
   }
 ' "$TRACE_FILE" || { echo "obs smoke: malformed trace event" >&2; exit 1; }
 rm -f "$TRACE_FILE"
+# --metrics alone must observe too: a trace sink is the one switch.
+METRICS_OUT="$(cargo run -q -p eqsql-net --bin eqsql-serve -- \
+    --quiet --metrics --threads 2 crates/service/fixtures/smoke.req)"
+echo "$METRICS_OUT" | grep -q '^metric: latency count=13 ' \
+    || { echo "obs smoke: --metrics without --trace recorded no latencies" >&2; exit 1; }
 
 echo "== persistence smoke (cold run, then warm restart over the same --cache-dir)"
 CACHE_DIR="$(mktemp -d)"

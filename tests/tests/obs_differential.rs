@@ -1,10 +1,9 @@
 //! Differential: observability must be inert. The instrumentation layer —
-//! the global gate, the engine step probes, the per-request trace spans —
-//! may never change what the solver computes: verdicts, chase step counts
-//! and cache hit/miss attribution must be bit-identical whether
-//! instrumentation is disabled, enabled with a sink, or disabled again.
-//! While enabled, the solver must emit exactly one structured event per
-//! batch request.
+//! the engine step probes, the per-request trace spans — may never change
+//! what the solver computes: verdicts, chase step counts and cache
+//! hit/miss attribution must be bit-identical whether a solver runs
+//! without a trace sink, with one, or without one again. While observing,
+//! the solver must emit exactly one structured event per batch request.
 
 use eqsql_gen::queries::{random_query, QueryParams};
 use eqsql_gen::sigma::SigmaParams;
@@ -98,15 +97,12 @@ fn run_suite(observe: bool) -> Vec<Observation> {
     out
 }
 
-/// One test, three sequential passes over identical inputs: the phases
-/// flip the process-global gate between passes, never concurrently with
-/// one (this is the binary's only test, so nothing else races the gate).
+/// Three sequential passes over identical inputs: without a trace sink,
+/// with one on every solver, and without one again.
 #[test]
 fn instrumentation_on_or_off_is_computation_identical() {
     let baseline = run_suite(false);
-    eqsql_obs::set_enabled(true);
     let observed = run_suite(true);
-    eqsql_obs::set_enabled(false);
     let again = run_suite(false);
     assert_eq!(baseline, observed, "enabling instrumentation changed a computation");
     assert_eq!(baseline, again, "disabling instrumentation did not restore the baseline");
